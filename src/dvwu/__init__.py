@@ -19,7 +19,7 @@ from .errors import (BudgetExhaustedError, ConvergenceError, DataLoadError,
 from .losses import LossKind
 from .models import Metrics, ModelState, evaluate, full_gradient, full_hessian, \
     loss_value, per_sample_gradient, per_sample_hessian, train
-from .valuation import (ValuationMethod, ValueProfile, dynamic_update, knn_sv,
+from .valuation import (KnnRankCache, ValuationMethod, ValueProfile, knn_sv,
                         loo_values, weights_from_values)
 from .unlearn import (CertBudget, InfluenceUnlearner, NewtonUnlearner,
                       RoundOutcome, certify_or_retrain, dvwu_newton_step,

@@ -38,8 +38,8 @@ from .unlearn import (CertBudget, InfluenceUnlearner, NewtonUnlearner,
                       unit_weights, unlearn_gradient_ascent, unlearn_influence,
                       weighted_gradient)
 from .valuation import (DYNAMIC, KNN_SHAPLEY, LEAVE_ONE_OUT, STATIC,
-                        ValuationMethod, ValueProfile, compute_values,
-                        load_values_csv)
+                        KnnRankCache, ValuationMethod, ValueProfile,
+                        compute_values, load_values_csv)
 
 log = logging.getLogger(__name__)
 
@@ -318,11 +318,16 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
 
     vm = cfg.valuation_method()
     utility_set = parts.validation if (vm is not None and vm.kind == LEAVE_ONE_OUT) else test_set
+    # dynamic k-NN values are refreshed every round on ever fewer rows, so
+    # the per-reference distance order is computed once and then filtered
+    knn_cache = (KnnRankCache() if vm is not None and vm.kind == KNN_SHAPLEY
+                 and vm.mode == DYNAMIC else None)
     profile: ValueProfile | None = None
     if cfg.values_path is not None:
         profile = load_values_csv(cfg.values_path, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
     elif vm is not None:
-        q = compute_values(vm, train_set, utility_set, cfg.lam, loss, tol=cfg.train_tol)
+        q = compute_values(vm, train_set, utility_set, cfg.lam, loss, tol=cfg.train_tol,
+                           cache=knn_cache)
         profile = ValueProfile.from_initial_values(q, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
 
     method = cfg.method
@@ -375,7 +380,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
 
         if profile is not None:
             profile = _update_profile(cfg, vm, profile, outcome, next_remaining,
-                                      utility_set, loss)
+                                      utility_set, loss, knn_cache)
         remaining = next_remaining
 
 
@@ -421,7 +426,7 @@ def _influence_round(cfg: ExperimentConfig, t: int, engine: InfluenceUnlearner,
                                deleted_total=deleted_total)
         elapsed["noise"] = time.perf_counter() - tic
     residual = threshold = float("nan")
-    certified = True
+    certified = False   # only a residual compared with a threshold certifies
     if t % cfg.check_every == 0:
         tic = time.perf_counter()
         residual = gradient_residual(w_t, remaining, cfg.lam, loss, engine.b)
@@ -454,14 +459,17 @@ def _ascent_round(cfg: ExperimentConfig, t: int, w: np.ndarray, deleted: Dataset
 
 def _update_profile(cfg: ExperimentConfig, vm: ValuationMethod | None,
                     profile: ValueProfile, outcome: RoundOutcome,
-                    remaining: Dataset, utility_set: Dataset,
-                    loss: LossKind) -> ValueProfile:
-    if outcome.retrained and vm is not None:
-        # certification failed: values are reinitialized on the remaining data
-        q = compute_values(vm, remaining, utility_set, cfg.lam, loss, tol=cfg.train_tol)
-        return profile.with_values(q)
-    if vm is not None and vm.mode == DYNAMIC:
-        q = compute_values(vm, remaining, utility_set, cfg.lam, loss, tol=cfg.train_tol)
+                    remaining: Dataset, utility_set: Dataset, loss: LossKind,
+                    knn_cache: KnnRankCache | None = None) -> ValueProfile:
+    """Per-round refresh of the profile after a deletion.
+
+    Values are recomputed on the remaining data after a retrained round
+    (certification failed) and in dynamic mode; otherwise the carried values
+    are restricted to the remaining ids.  The q_min_plus anchor never moves.
+    """
+    if vm is not None and (outcome.retrained or vm.mode == DYNAMIC):
+        q = compute_values(vm, remaining, utility_set, cfg.lam, loss, tol=cfg.train_tol,
+                           cache=knn_cache)
         return profile.with_values(q)
     return profile.restrict(remaining.ids)
 

@@ -276,7 +276,7 @@ class RoundOutcome:
     w_published: np.ndarray | None
     residual_norm: float
     threshold: float
-    certified: bool
+    certified: bool          # residual checked against the threshold and below it
     retrained: bool
     elapsed: dict[str, float] = field(default_factory=dict)
 
@@ -411,7 +411,7 @@ class NewtonUnlearner:
         if self.t % self.check_every != 0:
             return RoundOutcome(t=self.t, w_internal=w_t, w_published=w_pub,
                                 residual_norm=float("nan"), threshold=float("nan"),
-                                certified=True, retrained=False, elapsed=elapsed)
+                                certified=False, retrained=False, elapsed=elapsed)
         b = self.b if self.perturbation == PERTURB_OBJECTIVE else None
         if not self.certify:
             tic = time.perf_counter()
@@ -419,7 +419,7 @@ class NewtonUnlearner:
             elapsed["certify"] = time.perf_counter() - tic
             return RoundOutcome(t=self.t, w_internal=w_t, w_published=w_pub,
                                 residual_norm=residual, threshold=float("nan"),
-                                certified=True, retrained=False, elapsed=elapsed)
+                                certified=False, retrained=False, elapsed=elapsed)
         tic = time.perf_counter()
         outcome = certify_or_retrain(self.t, w_t, remaining, self.current_threshold(),
                                      self.lam, self.loss, b=b, train_tol=self.train_tol,

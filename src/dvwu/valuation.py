@@ -152,7 +152,97 @@ def loo_values(data: Dataset, validation: Dataset, lam: float, loss: LossKind,
     return q
 
 
-def knn_sv(data: Dataset, reference: Dataset, k: int, block: int = 256) -> dict[int, float]:
+# A rank cache holds R x N int32 positions; past this many bytes knn_sv keeps
+# nothing and every call recomputes the order.
+RANK_CACHE_MAX_BYTES = 256 * 2 ** 20
+
+
+class KnnRankCache:
+    """Distance order of the training rows for each reference block, kept
+    between `knn_sv` calls on one reference set while training rows are only
+    removed, as in one deletion sequence.
+
+    The order is reused only for the same reference object and block size,
+    and only when the new training rows are a subset of the cached ones with
+    the same features; any other call recomputes the order and replaces it.
+    """
+
+    def __init__(self):
+        self._reference: Dataset | None = None
+        self._block = 0
+        self._ids: np.ndarray | None = None       # ascending ids of the cached rows
+        self._features: np.ndarray | None = None
+        self._orders: list[np.ndarray] = []       # per block, (B, N) int32, farthest first
+
+    def _filtered(self, reference: Dataset, block: int, ids: np.ndarray,
+                  X: np.ndarray) -> list[np.ndarray] | None:
+        """The cached orders with rows not in ids removed, or None if the
+        cache does not cover this call."""
+        if self._ids is None or reference is not self._reference or block != self._block:
+            return None
+        pos = np.searchsorted(self._ids, ids)
+        if (pos >= self._ids.size).any() or not np.array_equal(self._ids[pos], ids):
+            return None
+        if not np.array_equal(self._features[pos], X):
+            return None
+        if ids.size < self._ids.size:
+            # old position -> new position, -1 for a removed row; dropping the
+            # removed rows from an order leaves it sorted with the same ties
+            remap = np.full(self._ids.size, -1, dtype=np.int32)
+            remap[pos] = np.arange(ids.size, dtype=np.int32)
+            shrunk = []
+            for old in self._orders:
+                mapped = remap[old]
+                shrunk.append(mapped[mapped >= 0].reshape(old.shape[0], ids.size))
+            self._store(reference, block, ids, X, shrunk)
+        return self._orders
+
+    def _store(self, reference: Dataset, block: int, ids: np.ndarray, X: np.ndarray,
+               orders: list[np.ndarray]) -> None:
+        self._reference, self._block = reference, block
+        self._ids, self._features, self._orders = ids, X, orders
+
+
+def _distance_orders(X: np.ndarray, reference: Dataset, block: int):
+    """Yield, per reference block, the training positions from farthest to
+    nearest (nearest-first ties broken by position) as contiguous int32.
+
+    Distances come from the deduplicated rows and are gathered back, so
+    copies of a row get bitwise equal distances wherever they sit.
+    """
+    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+    if uniq.shape[0] == X.shape[0]:
+        uniq, inverse = X, None        # no copies: nothing to gather
+    u_sq = np.sum(uniq * uniq, axis=1)
+    for start in range(0, reference.n, block):
+        Xr = reference.features[start:start + block]
+        # in place, with the same rounding as u_sq - 2 (Xr @ uniq.T) + r_sq
+        d2 = Xr @ uniq.T
+        d2 *= -2.0
+        d2 += u_sq
+        d2 += np.sum(Xr * Xr, axis=1)[:, None]
+        if inverse is not None:
+            d2 = d2[:, inverse.reshape(-1)]
+        rank = np.argsort(d2, axis=1, kind="stable")
+        yield np.ascontiguousarray(rank[:, ::-1], dtype=np.int32)
+
+
+def _block_values(order: np.ndarray, positive: np.ndarray, ref_positive: np.ndarray,
+                  coef: np.ndarray) -> np.ndarray:
+    """Sum over one reference block of the per-reference Shapley values, per
+    training position; order is farthest first, coef[i] the step weight
+    between farthest-first positions i and i + 1."""
+    N = order.shape[1]
+    match = (positive[order] == ref_positive[:, None]).view(np.int8)
+    s = np.empty(order.shape)
+    s[:, 0] = match[:, 0] / N
+    np.multiply(np.diff(match, axis=1), coef, out=s[:, 1:])
+    np.cumsum(s, axis=1, out=s)
+    return np.bincount(order.ravel(), weights=s.ravel(), minlength=N)
+
+
+def knn_sv(data: Dataset, reference: Dataset, k: int, block: int = 256, *,
+           cache: KnnRankCache | None = None) -> dict[int, float]:
     """Exact k-NN Shapley values of the training rows, averaged over the
     reference points.
 
@@ -163,6 +253,19 @@ def knn_sv(data: Dataset, reference: Dataset, k: int, block: int = 256) -> dict[
         s[alpha_j] = s[alpha_{j+1}]
                      + (1[y_{alpha_j} = y_ref] - 1[y_{alpha_{j+1}} = y_ref]) / k
                        * min(k, j) / j
+
+    The recursion runs from the farthest row inward, one block of reference
+    points at a time.  Distances are computed once per distinct feature row,
+    so copies of a row tie exactly and are ordered by ascending id.  Distinct
+    rows at exactly equal distance are still ordered by floating-point
+    rounding of the distance product.
+
+    With a `KnnRankCache`, the first call stores each reference's order
+    (R x N x 4 bytes); a later call on a subset of those rows, with the same
+    reference, drops the removed rows from the stored order and reruns only
+    the recursion.  Values are bitwise equal to a call without the cache.
+    When the order would exceed RANK_CACHE_MAX_BYTES nothing is stored and
+    every call recomputes it.
     """
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
@@ -170,53 +273,39 @@ def knn_sv(data: Dataset, reference: Dataset, k: int, block: int = 256) -> dict[
         raise InvalidArgumentError("knn_sv needs non-empty training and reference sets")
 
     # Rows sorted by id so that a stable distance argsort breaks ties by id.
-    order = np.argsort(data.ids, kind="stable")
-    X = data.features[order]
-    y = data.labels[order]
-    ids = data.ids[order]
+    by_id = np.argsort(data.ids, kind="stable")
+    X = data.features[by_id]
+    positive = data.labels[by_id] > 0
+    ids = data.ids[by_id]
     N = data.n
 
-    j = np.arange(1, N, dtype=np.float64)
-    tail_coef = np.minimum(float(k), j) / (k * j)
+    # step weight min(k, j) / (k j) for nearest-first rank j = N - 1 .. 1
+    j = np.arange(N - 1, 0, -1, dtype=np.float64)
+    coef = np.minimum(float(k), j) / (k * j)
+
+    orders = cache._filtered(reference, block, ids, X) if cache is not None else None
+    if orders is None:
+        orders = _distance_orders(X, reference, block)
+        if cache is not None and reference.n * N * 4 <= RANK_CACHE_MAX_BYTES:
+            orders = list(orders)
+            cache._store(reference, block, ids, X, orders)
 
     totals = np.zeros(N)
-    x_sq = np.sum(X * X, axis=1)
-    for start in range(0, reference.n, block):
-        Xr = reference.features[start:start + block]
-        yr = reference.labels[start:start + block]
-        d2 = x_sq[None, :] - 2.0 * (Xr @ X.T) + np.sum(Xr * Xr, axis=1)[:, None]
-        rank = np.argsort(d2, axis=1, kind="stable")
-        match = (y[rank] == yr[:, None]).astype(np.float64)
-        s = np.empty_like(match)
-        s[:, -1] = match[:, -1] / N
-        diffs = (match[:, :-1] - match[:, 1:]) * tail_coef[None, :]
-        s[:, :-1] = s[:, -1:] + np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-        np.add.at(totals, rank, s)
+    ref_positive = reference.labels > 0
+    for start, order in zip(range(0, reference.n, block), orders):
+        totals += _block_values(order, positive, ref_positive[start:start + block], coef)
     totals /= reference.n
-    return {int(i): float(t) for i, t in zip(ids, totals)}
-
-
-def dynamic_update(profile: ValueProfile, remaining: Dataset, reference: Dataset,
-                   method: ValuationMethod, lam: float | None = None,
-                   loss: LossKind | None = None, tol: float = 1e-8) -> ValueProfile:
-    """Per-round refresh of the profile after a deletion.
-
-    Static mode restricts the carried values to the remaining ids; dynamic
-    mode recomputes them from scratch on the remaining data.  The q_min_plus
-    anchor is never touched.
-    """
-    if method.mode == STATIC:
-        return profile.restrict(remaining.ids)
-    q = compute_values(method, remaining, reference, lam, loss, tol)
-    return profile.with_values(q)
+    return dict(zip(ids.tolist(), totals.tolist()))
 
 
 def compute_values(method: ValuationMethod, data: Dataset, reference: Dataset,
                    lam: float | None = None, loss: LossKind | None = None,
-                   tol: float = 1e-8) -> dict[int, float]:
-    """Run the configured valuation method and return raw values."""
+                   tol: float = 1e-8,
+                   cache: KnnRankCache | None = None) -> dict[int, float]:
+    """Run the configured valuation method and return raw values; a rank
+    cache, if given, is passed on to k-NN Shapley."""
     if method.kind == KNN_SHAPLEY:
-        return knn_sv(data, reference, method.k)
+        return knn_sv(data, reference, method.k, cache=cache)
     if lam is None or loss is None:
         raise InvalidArgumentError("leave-one-out valuation needs lam and loss")
     return loo_values(data, reference, lam, loss, tol=tol)

@@ -221,3 +221,31 @@ def knn_shapley_enumeration(train_features, train_labels, train_ids,
                     phi += weight * gain
             values[i] += phi
     return values / len(test_labels)
+
+
+def knn_shapley_recursion(train_features, train_labels, train_ids,
+                          test_features, test_labels, k):
+    """Exact Shapley values by the closed-form recursion (Jia et al., VLDB
+    2019), averaged over tests, plus the full-set utility.
+
+    Squared distances are summed column by column from direct differences, so
+    identical rows get identical distances; ties are broken by ascending id
+    with a lexsort on (distance, id).
+    """
+    n = len(train_labels)
+    values = np.zeros(n)
+    utility = 0.0
+    for tx, ty in zip(test_features, test_labels):
+        d2 = np.zeros(n)
+        for col in range(train_features.shape[1]):
+            diff = train_features[:, col] - tx[col]
+            d2 += diff * diff
+        order = np.lexsort((train_ids, d2))
+        match = [1.0 if train_labels[i] == ty else 0.0 for i in order]
+        s = match[n - 1] / n
+        values[order[n - 1]] += s
+        for j in range(n - 1, 0, -1):          # 1-based rank of order[j - 1]
+            s += (match[j - 1] - match[j]) / k * min(k, j) / j
+            values[order[j - 1]] += s
+        utility += sum(match[:k]) / k
+    return values / len(test_labels), utility / len(test_labels)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from dvwu.harness import (
     write_bench_csv,
 )
 from dvwu.valuation import save_values_csv
-from dvwu import cli
+from dvwu import cli, valuation
 
 
 def tiny_config(**kw):
@@ -369,6 +370,49 @@ class TestEmitAndReplay:
             assert a.accuracy == b.accuracy
             assert a.residual == b.residual
             assert a.elapsed_ms == b.elapsed_ms
+
+
+class TestCheckCadence:
+    @pytest.mark.parametrize("method", ["dvwu-k", "influence"])
+    def test_unchecked_rounds_not_certified(self, tmp_path, method):
+        cfg = tiny_config(method=method, perturbation="output", rounds=4,
+                          repetitions=1, check_every=2)
+        emit_report(run_continuous_deletion(cfg), tmp_path)
+        with open(tmp_path / "rounds.csv", newline="") as fh:
+            rows = {int(r["t"]): r for r in csv.DictReader(fh)}
+        for t in (1, 3):
+            assert rows[t]["certified"] == "false"
+            assert rows[t]["residual"] == ""
+        for t in (2, 4):
+            assert rows[t]["certified"] == "true"
+            assert float(rows[t]["residual"]) <= float(rows[t]["threshold"])
+
+
+class TestDynamicKnnCache:
+    def test_cached_run_matches_capped_run(self, monkeypatch):
+        cfg = tiny_config(method="dvwu-dk", perturbation="output", rounds=6,
+                          deletions_per_round=4, repetitions=2)
+        calls = []
+        orders = valuation._distance_orders
+
+        def counted(*args):
+            calls.append(1)
+            return orders(*args)
+
+        monkeypatch.setattr(valuation, "_distance_orders", counted)
+        cached = run_continuous_deletion(cfg)
+        assert len(calls) == cfg.repetitions     # the initial valuation only
+        monkeypatch.setattr(valuation, "RANK_CACHE_MAX_BYTES", 0)
+        capped = run_continuous_deletion(cfg)
+        assert len(calls) == cfg.repetitions * (2 + cfg.rounds)
+
+        def comparable(report):
+            return [replace(r, elapsed_ms=0.0) for r in report.records]
+
+        assert all(rep.error is None for rep in cached.repetitions)
+        assert comparable(cached) == comparable(capped)
+        for a, b in zip(cached.repetitions, capped.repetitions):
+            assert all(np.array_equal(wa, wb) for wa, wb in zip(a.trajectory, b.trajectory))
 
 
 class TestBench:

@@ -401,6 +401,7 @@ class TestNewtonUnlearner:
             assert out.residual_norm == pytest.approx(
                 gradient_residual(out.w_internal, rest, engine.lam, engine.loss))
             assert math.isnan(out.threshold)   # certification off without noise
+            assert not out.certified
 
     def test_overlapping_sets_rejected(self, rng):
         data, model, budget, engine = _engine_setup(rng)
@@ -454,10 +455,10 @@ class TestNewtonUnlearner:
         d1, r1 = _split(data, 20)
         d2, r2 = _split(r1, 20)
         out1 = engine.delete(d1, r1)
-        assert math.isnan(out1.residual_norm) and out1.certified
+        assert math.isnan(out1.residual_norm) and not out1.certified   # unchecked
         assert out1.w_published is not None   # noise is still drawn
         out2 = engine.delete(d2, r2)
-        assert not math.isnan(out2.residual_norm)
+        assert not math.isnan(out2.residual_norm) and out2.certified
 
     def test_forced_retrain_reanchors(self, rng):
         loss = LossKind.logistic()

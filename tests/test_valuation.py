@@ -17,13 +17,16 @@ from dvwu import (
     train,
     weights_from_values,
 )
+from dvwu import valuation
+from dvwu.harness import ExperimentConfig, RoundOutcome, _update_profile
+from dvwu.data_io import SynthConfig
 from dvwu.valuation import (
     DYNAMIC,
     KNN_SHAPLEY,
     LEAVE_ONE_OUT,
     STATIC,
+    KnnRankCache,
     compute_values,
-    dynamic_update,
     load_values_csv,
     save_values_csv,
 )
@@ -237,13 +240,25 @@ class TestValueProfile:
             p.weights_for([1, 99])
 
 
+def _refresh(profile, remaining, ref, method, retrained=False, cache=None):
+    """One call of the harness's per-round profile refresh."""
+    cfg = ExperimentConfig(method="dvwu-dk", synth=SynthConfig(n=100, d_informative=2))
+    outcome = RoundOutcome(t=1, w_internal=np.zeros(remaining.d), w_published=None,
+                           residual_norm=float("nan"), threshold=float("nan"),
+                           certified=not retrained, retrained=retrained)
+    return _update_profile(cfg, method, profile, outcome, remaining, ref,
+                           LossKind.logistic(), cache)
+
+
 class TestDynamicUpdate:
+    """The per-round refresh, `harness._update_profile`."""
+
     def test_static_restricts_only(self, rng):
         data, ref = _rand_instance(rng, 10, d=2)
         method = ValuationMethod(kind=KNN_SHAPLEY, mode=STATIC, k=2)
         p = ValueProfile.from_initial_values(knn_sv(data, ref, 2))
         remaining = data.drop([int(data.ids[0]), int(data.ids[1])])
-        p2 = dynamic_update(p, remaining, ref, method)
+        p2 = _refresh(p, remaining, ref, method)
         assert set(p2.q) == set(int(i) for i in remaining.ids)
         for i in p2.q:
             assert p2.q[i] == p.q[i]
@@ -253,7 +268,7 @@ class TestDynamicUpdate:
         method = ValuationMethod(kind=KNN_SHAPLEY, mode=DYNAMIC, k=2)
         p = ValueProfile.from_initial_values(knn_sv(data, ref, 2))
         remaining = data.drop([int(data.ids[0])])
-        p2 = dynamic_update(p, remaining, ref, method)
+        p2 = _refresh(p, remaining, ref, method)
         fresh = knn_sv(remaining, ref, 2)
         assert p2.q == fresh
         assert p2.q_min_plus == p.q_min_plus
@@ -263,6 +278,122 @@ class TestDynamicUpdate:
         method = ValuationMethod(kind=LEAVE_ONE_OUT)
         with pytest.raises(InvalidArgumentError):
             compute_values(method, data, ref)
+
+
+def _tied_instance(rng, n, pool=300, d=20, levels=4, n_ref=64):
+    """Rows drawn from a pool of standardized integer-coded vectors, so most
+    rows have exact copies; labels follow a linear rule with 10% flipped, so
+    copies can disagree.  Reference points are continuous."""
+    codes = rng.integers(0, levels, size=(pool, d)).astype(np.float64)
+    X = codes[rng.integers(0, pool, size=n)]
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    score = X @ rng.normal(size=d)
+    y = np.where(score > np.median(score), 1.0, -1.0)
+    flip = rng.random(n) < 0.1
+    y[flip] = -y[flip]
+    data = Dataset(features=X, labels=y, ids=rng.permutation(3 * n)[:n])
+    ref = Dataset(features=rng.normal(size=(n_ref, d)),
+                  labels=np.where(rng.normal(size=n_ref) >= 0, 1.0, -1.0))
+    return data, ref
+
+
+def _bits(q, ids):
+    return np.array([q[int(i)] for i in ids]).view(np.int64)
+
+
+class TestKnnTies:
+    @pytest.mark.parametrize("n", [1401, 1403, 2100])
+    def test_copies_ordered_by_ascending_id(self, n):
+        rng = np.random.default_rng(n)
+        data, ref = _tied_instance(rng, n)
+        k = 5
+        q = knn_sv(data, ref, k)
+        expect, utility = oracles.knn_shapley_recursion(
+            data.features, data.labels, data.ids, ref.features, ref.labels, k)
+        got = np.array([q[int(i)] for i in data.ids])
+        assert_allclose(got, expect, rtol=0, atol=1e-10)
+        assert_allclose(got.sum(), utility, rtol=0, atol=1e-10)
+
+    def test_untied_matches_recursion_oracle(self):
+        rng = np.random.default_rng(5)
+        data, ref = _rand_instance(rng, 700, d=6, n_ref=40)
+        q = knn_sv(data, ref, 5, block=16)
+        expect, _ = oracles.knn_shapley_recursion(
+            data.features, data.labels, data.ids, ref.features, ref.labels, 5)
+        got = np.array([q[int(i)] for i in data.ids])
+        assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+class TestKnnRankCache:
+    ROUNDS = 24
+
+    @staticmethod
+    def _instance(rng, tied):
+        if tied:
+            return _tied_instance(rng, 400, pool=60, n_ref=40)
+        return _rand_instance(rng, 400, d=5, n_ref=40)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_incremental_equals_fresh(self, tied):
+        rng = np.random.default_rng(11)
+        remaining, ref = self._instance(rng, tied)
+        cache = KnnRankCache()
+        for _ in range(self.ROUNDS):
+            got = knn_sv(remaining, ref, 5, block=16, cache=cache)
+            fresh = knn_sv(remaining, ref, 5, block=16)
+            assert list(got) == list(fresh)
+            assert np.array_equal(_bits(got, remaining.ids), _bits(fresh, remaining.ids))
+            remaining = remaining.drop(rng.choice(remaining.ids, size=7, replace=False))
+        assert cache._ids.size == remaining.n + 7
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_retrain_refresh_equals_fresh(self, tied):
+        rng = np.random.default_rng(12)
+        remaining, ref = self._instance(rng, tied)
+        method = ValuationMethod(kind=KNN_SHAPLEY, mode=STATIC, k=5)
+        cache = KnnRankCache()
+        profile = ValueProfile.from_initial_values(
+            compute_values(method, remaining, ref, cache=cache))
+        refreshed = 0
+        for t in range(1, self.ROUNDS + 1):
+            remaining = remaining.drop(rng.choice(remaining.ids, size=7, replace=False))
+            retrained = t % 3 == 0     # static values are only recomputed on a retrain
+            profile = _refresh(profile, remaining, ref, method, retrained, cache)
+            if retrained:
+                refreshed += 1
+                fresh = knn_sv(remaining, ref, 5)
+                assert np.array_equal(_bits(profile.q, remaining.ids),
+                                      _bits(fresh, remaining.ids))
+        assert refreshed == self.ROUNDS // 3
+        assert cache._ids.size == remaining.n
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_capped_cache_recomputes(self, tied, monkeypatch):
+        rng = np.random.default_rng(13)
+        remaining, ref = self._instance(rng, tied)
+        uncapped = KnnRankCache()
+        capped = KnnRankCache()
+        for _ in range(self.ROUNDS):
+            expect = knn_sv(remaining, ref, 5, block=16, cache=uncapped)
+            with monkeypatch.context() as m:
+                m.setattr(valuation, "RANK_CACHE_MAX_BYTES", 0)
+                got = knn_sv(remaining, ref, 5, block=16, cache=capped)
+            assert np.array_equal(_bits(got, remaining.ids), _bits(expect, remaining.ids))
+            remaining = remaining.drop(rng.choice(remaining.ids, size=7, replace=False))
+        assert capped._ids is None
+
+    def test_cache_not_reused_for_other_inputs(self, rng):
+        data, ref = _rand_instance(rng, 30, d=3, n_ref=6)
+        cache = KnnRankCache()
+        knn_sv(data, ref, 3, cache=cache)
+        other_ref = Dataset(ref.features + 1.0, ref.labels)
+        moved = Dataset(data.features[::-1] * 0.5, data.labels[::-1], data.ids[::-1])
+        grown = Dataset(np.vstack([data.features, ref.features]),
+                        np.concatenate([data.labels, ref.labels]),
+                        np.concatenate([data.ids, [1000 + i for i in range(ref.n)]]))
+        for d, r in ((data, other_ref), (moved, ref), (grown, ref)):
+            got = knn_sv(d, r, 3, cache=cache)
+            assert got == knn_sv(d, r, 3)
 
 
 class TestValuesCsv:
