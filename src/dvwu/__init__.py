@@ -21,17 +21,35 @@ from .models import Metrics, ModelState, evaluate, full_gradient, full_hessian, 
     loss_value, per_sample_gradient, per_sample_hessian, train
 from .valuation import (KnnRankCache, ValuationMethod, ValueProfile, knn_sv,
                         loo_values, weights_from_values)
-from .unlearn import (CertBudget, InfluenceUnlearner, NewtonUnlearner,
-                      RoundOutcome, certify_or_retrain, dvwu_newton_step,
+from .unlearn import (AscentUnlearner, CertBudget, InfluenceUnlearner,
+                      NewtonUnlearner, RetrainUnlearner, RoundOutcome,
+                      Unlearner, certify_or_retrain, dvwu_newton_step,
                       epsilon1_prime, epsilon2_prime, gauss_constant,
                       gradient_residual, hessian_downdate,
                       objective_perturb_setup, output_perturb, threshold0,
-                      threshold1, unit_weights, unlearn_gradient_ascent,
-                      unlearn_influence, unlearn_newton_unweighted,
-                      weighted_gradient)
+                      threshold1, unlearn_gradient_ascent, weighted_gradient)
 from .data_io import (SynthConfig, gen_synthetic, load_csv, norm_bound, split,
                       standardize)
 from .harness import (ExperimentConfig, ExperimentReport, emit_report,
                       run_continuous_deletion, run_efficiency_bench)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Dataset",
+    "BudgetExhaustedError", "ConvergenceError", "DataLoadError",
+    "IllConditionedHessianError", "InvalidArgumentError", "UnlearnError",
+    "LossKind",
+    "Metrics", "ModelState", "evaluate", "full_gradient", "full_hessian",
+    "loss_value", "per_sample_gradient", "per_sample_hessian", "train",
+    "KnnRankCache", "ValuationMethod", "ValueProfile", "knn_sv", "loo_values",
+    "weights_from_values",
+    "AscentUnlearner", "CertBudget", "InfluenceUnlearner", "NewtonUnlearner",
+    "RetrainUnlearner", "RoundOutcome", "Unlearner", "certify_or_retrain",
+    "dvwu_newton_step", "epsilon1_prime", "epsilon2_prime", "gauss_constant",
+    "gradient_residual", "hessian_downdate", "objective_perturb_setup",
+    "output_perturb", "threshold0", "threshold1", "unlearn_gradient_ascent",
+    "weighted_gradient",
+    "SynthConfig", "gen_synthetic", "load_csv", "norm_bound", "split",
+    "standardize",
+    "ExperimentConfig", "ExperimentReport", "emit_report",
+    "run_continuous_deletion", "run_efficiency_bench",
+]

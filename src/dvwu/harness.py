@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .data_io import (SplitResult, SynthConfig, gen_synthetic,
@@ -29,14 +28,12 @@ from .data_io import (SplitResult, SynthConfig, gen_synthetic,
 from .dataset import Dataset
 from .errors import (BudgetExhaustedError, InvalidArgumentError, UnlearnError)
 from .losses import LossKind
-from .models import Metrics, evaluate, train
-from .unlearn import (CertBudget, InfluenceUnlearner, NewtonUnlearner,
-                      PERTURB_NONE, PERTURB_OBJECTIVE, PERTURB_OUTPUT,
-                      RoundOutcome, dvwu_newton_step, epsilon2_prime,
-                      gauss_constant, gradient_residual, hessian_downdate,
-                      objective_perturb_setup, output_perturb, threshold1,
-                      unit_weights, unlearn_gradient_ascent, unlearn_influence,
-                      weighted_gradient)
+from .models import Metrics, ModelState, evaluate, train
+from .unlearn import (AscentUnlearner, CertBudget, InfluenceUnlearner,
+                      NewtonUnlearner, PERTURB_NONE, PERTURB_OBJECTIVE,
+                      PERTURB_OUTPUT, RetrainUnlearner, RoundOutcome, Unlearner,
+                      epsilon2_prime, gauss_constant, objective_perturb_setup,
+                      threshold1)
 from .valuation import (DYNAMIC, KNN_SHAPLEY, LEAVE_ONE_OUT, STATIC,
                         KnnRankCache, ValuationMethod, ValueProfile,
                         compute_values, load_values_csv)
@@ -330,18 +327,8 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
                            cache=knn_cache)
         profile = ValueProfile.from_initial_values(q, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
 
-    method = cfg.method
-    engine = influence = None
-    if method in (METHOD_NEWTON, METHOD_DVWU_K, METHOD_DVWU_L, METHOD_DVWU_DK, METHOD_DVWU_DL):
-        engine = NewtonUnlearner(model, budget, perturbation=cfg.perturbation,
-                                 noise_rng=noise_rng, train_tol=cfg.train_tol,
-                                 check_every=cfg.check_every, planned_total=sum(sched))
-    elif method == METHOD_INFLUENCE:
-        influence = InfluenceUnlearner(model, train_set.n)
-
+    unlearner = _make_unlearner(cfg, model, budget, noise_rng, planned_total=sum(sched))
     remaining = train_set
-    w_current = np.array(model.w)
-    deleted_total = 0
     for t in range(1, cfg.rounds + 1):
         m_t = sched[t - 1]
         if remaining.n - m_t < 1:
@@ -350,21 +337,10 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
         deleted_ids = _sample_deletion(cfg, delete_rng, remaining, profile, m_t)
         deleted = remaining.select(deleted_ids)
         next_remaining = remaining.drop(deleted_ids)
-        deleted_total += m_t
 
         weights = profile.weights_for(deleted_ids) if (profile is not None and
-                                                       method != METHOD_NEWTON) else None
-        if engine is not None:
-            outcome = engine.delete(deleted, next_remaining, weights)
-        elif method == METHOD_RETRAIN:
-            outcome = _retrain_round(cfg, t, next_remaining, loss)
-        elif method == METHOD_INFLUENCE:
-            outcome = _influence_round(cfg, t, influence, budget, deleted, next_remaining,
-                                       loss, noise_rng, deleted_total)
-        else:  # gradient-ascent family
-            outcome = _ascent_round(cfg, t, w_current, deleted, next_remaining,
-                                    weights, loss, b)
-        w_current = outcome.w_internal
+                                                       cfg.method != METHOD_NEWTON) else None
+        outcome = unlearner.delete(deleted, next_remaining, weights)
 
         score_w = outcome.w_published if (cfg.score_published and
                                           outcome.w_published is not None) else outcome.w_internal
@@ -398,63 +374,19 @@ def _sample_deletion(cfg: ExperimentConfig, rng: np.random.Generator,
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _retrain_round(cfg: ExperimentConfig, t: int, remaining: Dataset,
-                   loss: LossKind) -> RoundOutcome:
-    tic = time.perf_counter()
-    model = train(remaining, cfg.lam, loss, tol=cfg.train_tol)
-    elapsed = {"retrain": time.perf_counter() - tic}
-    residual = gradient_residual(model.w, remaining, cfg.lam, loss)
-    return RoundOutcome(t=t, w_internal=model.w, w_published=None,
-                        residual_norm=residual, threshold=float("nan"),
-                        certified=True, retrained=False, elapsed=elapsed)
-
-
-def _influence_round(cfg: ExperimentConfig, t: int, engine: InfluenceUnlearner,
-                     budget: CertBudget, deleted: Dataset, remaining: Dataset,
-                     loss: LossKind, noise_rng: np.random.Generator,
-                     deleted_total: int) -> RoundOutcome:
-    """Influence updates record certification results but never fall back to
-    retraining; the stale-Hessian shortcut is the baseline's whole point."""
-    elapsed: dict[str, float] = {}
-    tic = time.perf_counter()
-    w_t = engine.delete(deleted)
-    elapsed["update"] = time.perf_counter() - tic
-    w_pub = None
-    if cfg.perturbation == PERTURB_OUTPUT:
-        tic = time.perf_counter()
-        w_pub = output_perturb(w_t, budget, t, noise_rng, m_round=deleted.n,
-                               deleted_total=deleted_total)
-        elapsed["noise"] = time.perf_counter() - tic
-    residual = threshold = float("nan")
-    certified = False   # only a residual compared with a threshold certifies
-    if t % cfg.check_every == 0:
-        tic = time.perf_counter()
-        residual = gradient_residual(w_t, remaining, cfg.lam, loss, engine.b)
-        elapsed["certify"] = time.perf_counter() - tic
-        if cfg.perturbation == PERTURB_OUTPUT:
-            threshold = threshold1(budget, t, m_round=deleted.n, deleted_total=deleted_total)
-            certified = residual <= threshold
-        elif cfg.perturbation == PERTURB_OBJECTIVE:
-            threshold = epsilon2_prime(budget)
-            certified = residual <= threshold
-    return RoundOutcome(t=t, w_internal=w_t, w_published=w_pub, residual_norm=residual,
-                        threshold=threshold, certified=certified, retrained=False,
-                        elapsed=elapsed)
-
-
-def _ascent_round(cfg: ExperimentConfig, t: int, w: np.ndarray, deleted: Dataset,
-                  remaining: Dataset, weights, loss: LossKind,
-                  b: np.ndarray | None) -> RoundOutcome:
-    tic = time.perf_counter()
-    w_t = unlearn_gradient_ascent(w, deleted, weights, cfg.lam, loss,
-                                  eta=cfg.ga_eta, steps=cfg.ga_steps, b=b)
-    elapsed = {"gradient": time.perf_counter() - tic}
-    residual = float("nan")
-    if t % cfg.check_every == 0:
-        residual = gradient_residual(w_t, remaining, cfg.lam, loss, b)
-    return RoundOutcome(t=t, w_internal=w_t, w_published=None, residual_norm=residual,
-                        threshold=float("nan"), certified=True, retrained=False,
-                        elapsed=elapsed)
+def _make_unlearner(cfg: ExperimentConfig, model: ModelState, budget: CertBudget,
+                    noise_rng: np.random.Generator, planned_total: int) -> Unlearner:
+    """The unlearner for cfg.method, starting from the trained model."""
+    common = dict(perturbation=cfg.perturbation, noise_rng=noise_rng,
+                  train_tol=cfg.train_tol, check_every=cfg.check_every,
+                  planned_total=planned_total)
+    if cfg.method == METHOD_RETRAIN:
+        return RetrainUnlearner(model, budget, **common)
+    if cfg.method == METHOD_INFLUENCE:
+        return InfluenceUnlearner(model, budget, **common)
+    if cfg.method in (METHOD_GA, METHOD_WGA):
+        return AscentUnlearner(model, budget, eta=cfg.ga_eta, steps=cfg.ga_steps, **common)
+    return NewtonUnlearner(model, budget, **common)
 
 
 def _update_profile(cfg: ExperimentConfig, vm: ValuationMethod | None,
@@ -676,14 +608,18 @@ class BenchResult:
 
 def run_efficiency_bench(cfg: ExperimentConfig, deletion_size: int | None = None,
                          methods: tuple[str, ...] = BENCH_METHODS, trials: int = 10,
-                         warmup: int = 2, bench_ga_steps: int = 1) -> list[BenchResult]:
-    """Median wall time to process one deletion batch, per method.
+                         warmup: int = 2) -> list[BenchResult]:
+    """Median wall time of one deletion round, per method.
 
-    The shared setup (training, the initial Hessian and its factorization,
-    static values and weights for the weighted methods) stays outside the
-    timed region; the timed region is the update computation itself, plus the
-    output-perturbation draw for the methods that publish noisy parameters.
-    Gradient ascent is timed at a single step, its cheapest useful form.
+    Every trial builds a fresh unlearner for each method, the same one
+    `dvwu run` builds, and times one delete() of a fixed batch: the update,
+    the output-noise draw and the certification check (every round is
+    checked here); the phases come from RoundOutcome.elapsed.  The shared
+    setup (training, static values and weights for the weighted methods)
+    stays outside the timed region.  Within a trial the methods run back to
+    back, so a drift in host speed reaches all of them alike; retrain runs
+    its trials in a pass of its own after the others.  Gradient ascent is
+    timed at a single step, its cheapest useful form.
     """
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
@@ -693,78 +629,45 @@ def run_efficiency_bench(cfg: ExperimentConfig, deletion_size: int | None = None
     m = int(deletion_size if deletion_size is not None else cfg.schedule()[0])
     budget = CertBudget(epsilon=cfg.epsilon, delta=cfg.delta, C=loss.C, beta=loss.beta,
                         m=m, n=train_set.n, T=1, lam=cfg.lam)
-
-    model = train(train_set, cfg.lam, loss, tol=cfg.train_tol)
+    noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, 404]))
+    b = (objective_perturb_setup(budget, train_set.d, noise_rng)
+         if cfg.perturbation == PERTURB_OBJECTIVE else None)
+    model = train(train_set, cfg.lam, loss, b=b, tol=cfg.train_tol)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, 303]))
     deleted_ids = rng.choice(train_set.ids, size=m, replace=False)
     deleted = train_set.select(deleted_ids)
     remaining = train_set.drop(deleted_ids)
-    noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, 404]))
 
-    h0_factor = scipy.linalg.cho_factor(np.array(model.H))
-    ones = unit_weights(deleted.ids)
-    results = []
-    for method in methods:
-        method = normalize_method(method)
-        valuation_s = 0.0
-        weights = ones
-        if method in _DVWU_VALUATION or method == METHOD_WGA:
-            kind = (_DVWU_VALUATION[method][0] if method in _DVWU_VALUATION
-                    else cfg.ga_valuation)
-            vm = ValuationMethod(kind=kind, mode=STATIC, k=cfg.k)
+    configs = [replace(cfg, method=method, ga_steps=1, check_every=1) for method in methods]
+    weights, valuation_s = [None] * len(configs), [0.0] * len(configs)
+    for i, vm in enumerate(mcfg.valuation_method() for mcfg in configs):
+        if vm is not None:
             tic = time.perf_counter()
-            q = compute_values(vm, train_set, test_set, cfg.lam, loss, tol=cfg.train_tol)
+            q = compute_values(replace(vm, mode=STATIC), train_set, test_set, cfg.lam, loss,
+                               tol=cfg.train_tol)
             profile = ValueProfile.from_initial_values(q, alpha=cfg.alpha,
                                                        zero_tol=cfg.zero_tol)
-            valuation_s = time.perf_counter() - tic
-            weights = profile.weights_for(deleted.ids)
+            valuation_s[i] = time.perf_counter() - tic
+            weights[i] = profile.weights_for(deleted.ids)
 
-        samples: list[dict[str, float]] = []
-        for trial in range(trials + warmup):
-            phases: dict[str, float] = {}
-            if method == METHOD_RETRAIN:
-                tic = time.perf_counter()
-                train(remaining, cfg.lam, loss, tol=cfg.train_tol)
-                phases["retrain"] = time.perf_counter() - tic
-            elif method in (METHOD_NEWTON, METHOD_DVWU_K, METHOD_DVWU_L,
-                            METHOD_DVWU_DK, METHOD_DVWU_DL):
-                v = ones if method == METHOD_NEWTON else weights
-                tic = time.perf_counter()
-                g = weighted_gradient(model.w, deleted, v, cfg.lam, loss)
-                phases["gradient"] = time.perf_counter() - tic
-                tic = time.perf_counter()
-                H1 = hessian_downdate(model.H, model.w, deleted, train_set.n, m, 1,
-                                      cfg.lam, loss)
-                phases["hessian"] = time.perf_counter() - tic
-                tic = time.perf_counter()
-                w1 = dvwu_newton_step(model.w, H1, g, train_set.n, m, 1)
-                phases["solve"] = time.perf_counter() - tic
-                tic = time.perf_counter()
-                output_perturb(w1, budget, 1, noise_rng)
-                phases["noise"] = time.perf_counter() - tic
-            elif method == METHOD_INFLUENCE:
-                tic = time.perf_counter()
-                w1 = unlearn_influence(model.w, h0_factor, deleted, train_set.n, m,
-                                       cfg.lam, loss)
-                phases["update"] = time.perf_counter() - tic
-                tic = time.perf_counter()
-                output_perturb(w1, budget, 1, noise_rng)
-                phases["noise"] = time.perf_counter() - tic
-            elif method in (METHOD_GA, METHOD_WGA):
-                v = None if method == METHOD_GA else weights
-                tic = time.perf_counter()
-                unlearn_gradient_ascent(model.w, deleted, v, cfg.lam, loss,
-                                        eta=cfg.ga_eta, steps=bench_ga_steps)
-                phases["gradient"] = time.perf_counter() - tic
-            else:
-                raise InvalidArgumentError(f"method {method} not benchable")
-            if trial >= warmup:
-                samples.append(phases)
-        totals = [sum(p.values()) for p in samples]
-        med_phases = {ph: statistics.median(s[ph] for s in samples) for ph in samples[0]}
-        results.append(BenchResult(method=method, total_s=statistics.median(totals),
-                                   phases=med_phases, trials=len(samples),
-                                   setup_valuation_s=valuation_s))
+    # Retraining keeps the BLAS threads busy for tens of milliseconds, and on two
+    # cores the rounds timed right after it often stall; it gets a pass of its own.
+    samples: list[list[dict[str, float]]] = [[] for _ in configs]
+    for retrain_pass in (False, True):
+        group = [i for i, c in enumerate(configs) if (c.method == METHOD_RETRAIN) == retrain_pass]
+        for trial in range(warmup + trials):
+            for i in group:
+                unlearner = _make_unlearner(configs[i], model, budget, noise_rng, planned_total=m)
+                outcome = unlearner.delete(deleted, remaining, weights[i])
+                if trial >= warmup:
+                    samples[i].append(outcome.elapsed)
+    results = []
+    for mcfg, setup_s, kept in zip(configs, valuation_s, samples):
+        med_phases = {ph: statistics.median(p[ph] for p in kept) for ph in kept[0]}
+        results.append(BenchResult(method=mcfg.method,
+                                   total_s=statistics.median(sum(p.values()) for p in kept),
+                                   phases=med_phases, trials=len(kept),
+                                   setup_valuation_s=setup_s))
     return results
 
 

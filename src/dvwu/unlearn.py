@@ -18,8 +18,12 @@ guishability from retraining comes from Gaussian noise, either added to the
 published parameters each round (output perturbation) or folded into the
 training objective once as a linear term (objective perturbation).
 
-Baselines: unweighted Newton (all weights 1), influence updates that reuse
-the initial Hessian factorization, and (weighted) gradient ascent.
+Every method is an unlearner with one interface, delete(deleted, remaining,
+weights) -> RoundOutcome, and shares the round bookkeeping, the output-noise
+draw and the residual check: NewtonUnlearner (the weighted update; plain
+unweighted Newton is weights=None), and the baselines InfluenceUnlearner
+(reuses the initial Hessian factorization, never retrains), AscentUnlearner
+((weighted) gradient ascent) and RetrainUnlearner (exact retraining).
 """
 
 from __future__ import annotations
@@ -176,41 +180,36 @@ def objective_perturb_setup(budget: CertBudget, d: int,
     return gen.normal(0.0, objective_noise_std(budget), size=d)
 
 
-def weighted_gradient(w: np.ndarray, deleted: Dataset, v: Mapping[int, float],
+def weighted_gradient(w: np.ndarray, deleted: Dataset, v: Mapping[int, float] | None,
                       lam: float, loss: LossKind, b: np.ndarray | None = None) -> np.ndarray:
     """Weighted gradient of the deletion batch,
     (1/m) sum_{v_i != 0} v_i (grad ell(w, z_i) + lam w [+ b]).
+
+    v maps every deleted id to a weight in [0, 1]; v=None means every weight
+    is 1 and skips the lookup.  The two forms agree bitwise for unit weights:
+    multiplying the coefficients by 1.0 and scaling the regularizer by m/m
+    are exact.
     """
     if deleted.n < 1:
         raise InvalidArgumentError("deletion batch is empty")
     if not lam > 0:
         raise InvalidArgumentError(f"lam must be positive, got {lam}")
-    try:
-        weights = np.array([v[int(i)] for i in deleted.ids], dtype=np.float64)
-    except KeyError as exc:
-        raise InvalidArgumentError(f"missing weight for deleted id {exc.args[0]}") from None
+    if v is not None:
+        try:
+            weights = np.array([v[int(i)] for i in deleted.ids], dtype=np.float64)
+        except KeyError as exc:
+            raise InvalidArgumentError(f"missing weight for deleted id {exc.args[0]}") from None
+        bad = ~((weights >= 0.0) & (weights <= 1.0))    # NaN fails both comparisons
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidArgumentError(
+                f"weights must be finite and in [0, 1]; id {deleted.ids[i]} has {weights[i]}")
     a = gradient_coefficients(loss, w, deleted.features, deleted.labels)
+    reg = lam * w if b is None else lam * w + b
+    if v is None:
+        return deleted.features.T @ a / deleted.n + reg
     g = deleted.features.T @ (a * weights) / deleted.n
-    reg = lam * w if b is None else lam * w + b
     return g + weights.sum() / deleted.n * reg
-
-
-def unit_weights(ids) -> dict[int, float]:
-    """Weight 1 for every id; turns the weighted ops into their plain forms."""
-    return {int(i): 1.0 for i in np.asarray(ids).ravel()}
-
-
-def _plain_batch_gradient(w: np.ndarray, deleted: Dataset, lam: float,
-                          loss: LossKind, b: np.ndarray | None = None) -> np.ndarray:
-    """Unit-weight batch gradient without the id-to-weight lookup.
-
-    Bitwise equal to weighted_gradient with all weights 1: multiplying the
-    coefficients by 1.0 and scaling the regularizer by m/m are exact.
-    """
-    a = gradient_coefficients(loss, w, deleted.features, deleted.labels)
-    g = deleted.features.T @ a / deleted.n
-    reg = lam * w if b is None else lam * w + b
-    return g + reg
 
 
 def hessian_downdate(H_prev: np.ndarray, w_prev: np.ndarray, deleted: Dataset,
@@ -309,15 +308,19 @@ def certify_or_retrain(t: int, w_t: np.ndarray, data_t: Dataset, threshold: floa
                         certified=False, retrained=True)
 
 
-class NewtonUnlearner:
-    """State machine for a continuous deletion sequence.
+class Unlearner:
+    """One deletion method: delete(deleted, remaining, weights) -> RoundOutcome.
 
-    Holds the internal parameters, the running Hessian, and the deletion
-    counters; one delete() call performs a full round (weighted gradient,
-    downdate, Newton step, certification with retrain fallback, perturbation)
-    and returns its RoundOutcome.  The caller owns the datasets and the value
-    profile.
+    The base holds what every method shares: the parameters, the deletion
+    counters, the output-noise draw and the residual check on the check_every
+    cadence.  A subclass's delete() runs _validate, computes its update into
+    locals, then _finish and _commit, so a rejected or failed round leaves the
+    counters, parameters and Hessian as they were (the noise generator may
+    have advanced).  The caller owns the datasets and the value profile.
     """
+
+    publishes = True    # draws output noise under output perturbation
+    fallback = False    # retrains exactly when the residual is above the threshold
 
     def __init__(self, model: ModelState, budget: CertBudget, *,
                  perturbation: str = PERTURB_NONE,
@@ -331,155 +334,191 @@ class NewtonUnlearner:
                 "objective perturbation needs a model trained with the linear term b")
         if check_every < 1:
             raise InvalidArgumentError(f"check_every must be >= 1, got {check_every}")
+        if perturbation != PERTURB_NONE and noise_rng is None:
+            raise InvalidArgumentError(f"{perturbation} perturbation needs noise_rng")
         self.budget = budget
         self.lam = model.lam
         self.loss = model.loss
-        self.b = model.b
+        # the linear term enters gradients and residuals only under objective perturbation
+        self.b = model.b if perturbation == PERTURB_OBJECTIVE else None
         self.perturbation = perturbation
         self.train_tol = train_tol
         self.check_every = check_every
         self.planned_total = planned_total
         self.certify = (perturbation != PERTURB_NONE) if certify is None else certify
         self.w = np.array(model.w)
-        self.H = np.array(model.H)
         self.t = 0
         self.deleted_total = 0
-        self._m_round = budget.m
-        if perturbation != PERTURB_NONE and noise_rng is None:
-            raise InvalidArgumentError(f"{perturbation} perturbation needs noise_rng")
         self.noise_rng = (np.random.default_rng(noise_rng)
                           if isinstance(noise_rng, (int, np.integer)) or noise_rng is None
                           else noise_rng)
 
-    def current_threshold(self) -> float:
-        if self.perturbation == PERTURB_OBJECTIVE:
-            return epsilon2_prime(self.budget, deleted_total=self.planned_total)
-        return threshold1(self.budget, self.t, m_round=self._m_round,
-                          deleted_total=self.deleted_total)
-
-    def delete(self, deleted: Dataset, remaining: Dataset,
-               weights: Mapping[int, float] | None = None) -> RoundOutcome:
-        """Run one deletion round.  weights=None means all ones."""
+    def _validate(self, deleted: Dataset, remaining: Dataset) -> None:
         if deleted.n < 1:
             raise InvalidArgumentError("deletion batch is empty")
         if remaining.n < 1:
             raise BudgetExhaustedError("no samples would remain after this round")
         if np.intersect1d(deleted.ids, remaining.ids).size:
             raise InvalidArgumentError("deleted and remaining datasets overlap")
-        self.t += 1
-        self._m_round = deleted.n
-        n_prev = self.budget.n - self.deleted_total
-        self.deleted_total += deleted.n
-        n_curr = self.budget.n - self.deleted_total
-        if n_curr != remaining.n:
+        expected = self.budget.n - self.deleted_total - deleted.n
+        if remaining.n != expected:
             raise InvalidArgumentError(
-                f"remaining set has {remaining.n} rows, expected {n_curr}")
-        v = unit_weights(deleted.ids) if weights is None else weights
+                f"remaining set has {remaining.n} rows, expected {expected}")
 
-        elapsed: dict[str, float] = {}
-        tic = time.perf_counter()
-        g_v = weighted_gradient(self.w, deleted, v, self.lam, self.loss,
-                                self.b if self.perturbation == PERTURB_OBJECTIVE else None)
-        elapsed["gradient"] = time.perf_counter() - tic
-
-        tic = time.perf_counter()
-        self.H = hessian_downdate(self.H, self.w, deleted, self.budget.n, deleted.n,
-                                  self.t, self.lam, self.loss,
-                                  n_prev=n_prev, n_curr=n_curr)
-        elapsed["hessian"] = time.perf_counter() - tic
-
-        tic = time.perf_counter()
-        w_t = dvwu_newton_step(self.w, self.H, g_v, self.budget.n, deleted.n, self.t,
-                               n_curr=n_curr, min_eig_floor=self.lam / 2.0)
-        elapsed["solve"] = time.perf_counter() - tic
-
-        outcome = self._certify(w_t, remaining, elapsed)
-        self.w = outcome.w_internal
-        if outcome.retrained:
-            # Re-anchor the running Hessian at the retrained parameters.
-            self.H = full_hessian(self.w, remaining, self.lam, self.loss)
-        return outcome
-
-    def _certify(self, w_t: np.ndarray, remaining: Dataset,
-                 elapsed: dict[str, float]) -> RoundOutcome:
+    def _finish(self, w_t: np.ndarray, deleted: Dataset, remaining: Dataset,
+                elapsed: dict[str, float]) -> RoundOutcome:
+        """Draw the output noise, then on checked rounds compare the residual
+        with the threshold.  Only a residual compared and found below the
+        threshold certifies a round."""
+        t, total = self.t + 1, self.deleted_total + deleted.n
         w_pub = None
-        if self.perturbation == PERTURB_OUTPUT:
+        if self.publishes and self.perturbation == PERTURB_OUTPUT:
             tic = time.perf_counter()
-            w_pub = output_perturb(w_t, self.budget, self.t, self.noise_rng,
-                                   m_round=self._m_round, deleted_total=self.deleted_total)
+            w_pub = output_perturb(w_t, self.budget, t, self.noise_rng,
+                                   m_round=deleted.n, deleted_total=total)
             elapsed["noise"] = time.perf_counter() - tic
-        if self.t % self.check_every != 0:
-            return RoundOutcome(t=self.t, w_internal=w_t, w_published=w_pub,
-                                residual_norm=float("nan"), threshold=float("nan"),
-                                certified=False, retrained=False, elapsed=elapsed)
-        b = self.b if self.perturbation == PERTURB_OBJECTIVE else None
+        outcome = RoundOutcome(t=t, w_internal=w_t, w_published=w_pub,
+                               residual_norm=float("nan"), threshold=float("nan"),
+                               certified=False, retrained=False, elapsed=elapsed)
+        if t % self.check_every != 0:
+            return outcome
         if not self.certify:
-            tic = time.perf_counter()
-            residual = gradient_residual(w_t, remaining, self.lam, self.loss, b)
-            elapsed["certify"] = time.perf_counter() - tic
-            return RoundOutcome(t=self.t, w_internal=w_t, w_published=w_pub,
-                                residual_norm=residual, threshold=float("nan"),
-                                certified=False, retrained=False, elapsed=elapsed)
+            threshold = float("nan")
+        elif self.perturbation == PERTURB_OBJECTIVE:
+            threshold = epsilon2_prime(self.budget, deleted_total=self.planned_total)
+        else:
+            threshold = threshold1(self.budget, t, m_round=deleted.n, deleted_total=total)
         tic = time.perf_counter()
-        outcome = certify_or_retrain(self.t, w_t, remaining, self.current_threshold(),
-                                     self.lam, self.loss, b=b, train_tol=self.train_tol,
-                                     w_published=w_pub)
+        if self.certify and self.fallback:
+            outcome = certify_or_retrain(t, w_t, remaining, threshold, self.lam,
+                                         self.loss, b=self.b, train_tol=self.train_tol,
+                                         w_published=w_pub)
+        else:
+            residual = gradient_residual(w_t, remaining, self.lam, self.loss, self.b)
+            outcome = replace(outcome, residual_norm=residual, threshold=threshold,
+                              certified=residual <= threshold)
         elapsed["certify"] = time.perf_counter() - tic
         if outcome.retrained:
             log.info("round %d: residual %.3e above threshold %.3e, retrained",
-                     self.t, outcome.residual_norm, outcome.threshold)
+                     t, outcome.residual_norm, outcome.threshold)
         return replace(outcome, elapsed=elapsed)
 
+    def _commit(self, deleted: Dataset, outcome: RoundOutcome) -> RoundOutcome:
+        self.t += 1
+        self.deleted_total += deleted.n
+        self.w = outcome.w_internal
+        return outcome
 
-def unlearn_newton_unweighted(w_star: np.ndarray, H: np.ndarray, deleted: Dataset,
-                              n: int, m: int, lam: float, loss: LossKind,
-                              b: np.ndarray | None = None) -> np.ndarray:
-    """Single unweighted Newton removal of a batch of m samples.
 
-    H is the objective Hessian on the remaining data at w_star.  This is the
-    weighted update with every weight 1; the composition is kept identical so
-    the two agree bitwise.
+class NewtonUnlearner(Unlearner):
+    """The weighted Newton engine: weighted gradient, Hessian downdate, Newton
+    step, then noise and certification with the exact-retrain fallback.
+    Serves newton (weights=None, all ones) and the value-weighted methods.
     """
-    g = weighted_gradient(w_star, deleted, unit_weights(deleted.ids), lam, loss, b)
-    return dvwu_newton_step(w_star, H, g, n, m, 1)
+
+    fallback = True
+
+    def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
+        super().__init__(model, budget, **kwargs)
+        self.H = np.array(model.H)
+
+    def delete(self, deleted: Dataset, remaining: Dataset,
+               weights: Mapping[int, float] | None = None) -> RoundOutcome:
+        """Run one deletion round.  weights=None means all ones."""
+        self._validate(deleted, remaining)
+        t, m, n_curr = self.t + 1, deleted.n, remaining.n
+        elapsed: dict[str, float] = {}
+        tic = time.perf_counter()
+        g_v = weighted_gradient(self.w, deleted, weights, self.lam, self.loss, self.b)
+        elapsed["gradient"] = time.perf_counter() - tic
+
+        tic = time.perf_counter()
+        H = hessian_downdate(self.H, self.w, deleted, self.budget.n, m, t, self.lam,
+                             self.loss, n_prev=n_curr + m, n_curr=n_curr)
+        elapsed["hessian"] = time.perf_counter() - tic
+
+        tic = time.perf_counter()
+        w_t = dvwu_newton_step(self.w, H, g_v, self.budget.n, m, t, n_curr=n_curr,
+                               min_eig_floor=self.lam / 2.0)
+        elapsed["solve"] = time.perf_counter() - tic
+
+        outcome = self._finish(w_t, deleted, remaining, elapsed)
+        if outcome.retrained:
+            # Re-anchor the running Hessian at the retrained parameters.
+            H = full_hessian(outcome.w_internal, remaining, self.lam, self.loss)
+        self.H = H
+        return self._commit(deleted, outcome)
 
 
-class InfluenceUnlearner:
+class InfluenceUnlearner(Unlearner):
     """Influence-style removals that reuse one Hessian factorization.
 
     The full-data Hessian at the initial parameters is factored once; every
-    later round only computes the batch gradient and back-substitutes, which
-    is what makes this baseline cheap and approximate.
+    later round only computes the unweighted batch gradient and back-
+    substitutes, which is what makes this baseline cheap and approximate.
+    Rounds are checked like Newton's but never fall back to retraining: the
+    stale-Hessian shortcut is the baseline's whole point.  Weights are ignored.
     """
 
-    def __init__(self, model: ModelState, n: int):
-        self.lam = model.lam
-        self.loss = model.loss
-        self.b = model.b
-        self.n = n
-        self.w = np.array(model.w)
+    def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
+        super().__init__(model, budget, **kwargs)
         self.factor = scipy.linalg.cho_factor(model.H)
-        self.deleted_total = 0
 
-    def delete(self, deleted: Dataset) -> np.ndarray:
-        self.deleted_total += deleted.n
-        after = self.n - self.deleted_total
-        if after < 1:
-            raise BudgetExhaustedError("deletion budget exhausted")
-        g = _plain_batch_gradient(self.w, deleted, self.lam, self.loss, self.b)
-        self.w = self.w + (deleted.n / after) * scipy.linalg.cho_solve(self.factor, g)
-        return self.w
+    def delete(self, deleted: Dataset, remaining: Dataset,
+               weights: Mapping[int, float] | None = None) -> RoundOutcome:
+        self._validate(deleted, remaining)
+        tic = time.perf_counter()
+        g = weighted_gradient(self.w, deleted, None, self.lam, self.loss, self.b)
+        w_t = self.w + (deleted.n / remaining.n) * scipy.linalg.cho_solve(self.factor, g)
+        elapsed = {"update": time.perf_counter() - tic}
+        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
 
 
-def unlearn_influence(w_star: np.ndarray, h0_factor, deleted: Dataset, n: int, m: int,
-                      lam: float, loss: LossKind, b: np.ndarray | None = None) -> np.ndarray:
-    """Single influence removal: w_star + m/(n-m) * H0^{-1} g, with H0 prefactored."""
-    if deleted.n != m:
-        raise InvalidArgumentError(f"batch has {deleted.n} rows but m = {m}")
-    if n - m < 1:
-        raise BudgetExhaustedError(f"n - m = {n - m} <= 0")
-    g = _plain_batch_gradient(w_star, deleted, lam, loss, b)
-    return w_star + (m / (n - m)) * scipy.linalg.cho_solve(h0_factor, g)
+class AscentUnlearner(Unlearner):
+    """(Weighted) gradient ascent on the deleted batch, `steps` steps of size
+    `eta` per round.  It publishes no noise and has no threshold, so no round
+    is certified; the residual is still recorded on checked rounds.
+    """
+
+    publishes = False
+
+    def __init__(self, model: ModelState, budget: CertBudget, *, eta: float = 0.01,
+                 steps: int = 5, **kwargs):
+        super().__init__(model, budget, certify=False, **kwargs)
+        self.eta = eta
+        self.steps = steps
+
+    def delete(self, deleted: Dataset, remaining: Dataset,
+               weights: Mapping[int, float] | None = None) -> RoundOutcome:
+        self._validate(deleted, remaining)
+        tic = time.perf_counter()
+        w_t = unlearn_gradient_ascent(self.w, deleted, weights, self.lam, self.loss,
+                                      eta=self.eta, steps=self.steps, b=self.b)
+        elapsed = {"gradient": time.perf_counter() - tic}
+        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
+
+
+class RetrainUnlearner(Unlearner):
+    """The reference: exact re-minimization on the remaining data every round.
+
+    It trains the unperturbed objective and publishes no noise, whatever the
+    perturbation mode, and has no threshold, so no round is certified; the
+    residual is still recorded on checked rounds.  Weights are ignored.
+    """
+
+    publishes = False
+
+    def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
+        super().__init__(model, budget, certify=False, **kwargs)
+        self.b = None
+
+    def delete(self, deleted: Dataset, remaining: Dataset,
+               weights: Mapping[int, float] | None = None) -> RoundOutcome:
+        self._validate(deleted, remaining)
+        tic = time.perf_counter()
+        w_t = train(remaining, self.lam, self.loss, tol=self.train_tol).w
+        elapsed = {"retrain": time.perf_counter() - tic}
+        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
 
 
 def unlearn_gradient_ascent(w: np.ndarray, deleted: Dataset, v: Mapping[int, float] | None,
@@ -494,10 +533,7 @@ def unlearn_gradient_ascent(w: np.ndarray, deleted: Dataset, v: Mapping[int, flo
         raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
     out = np.array(w, dtype=np.float64)
     for _ in range(steps):
-        if v is None:
-            out = out + eta * _plain_batch_gradient(out, deleted, lam, loss, b)
-        else:
-            out = out + eta * weighted_gradient(out, deleted, v, lam, loss, b)
+        out = out + eta * weighted_gradient(out, deleted, v, lam, loss, b)
     return out
 
 

@@ -96,9 +96,14 @@ class ValueProfile:
         return replace(self, q=dict(q), q_min_plus=anchor, v=None)
 
     def restrict(self, ids) -> "ValueProfile":
-        """Drop entries for ids that are gone; used by static mode after a deletion."""
-        keep = set(int(i) for i in np.asarray(ids).ravel())
-        return self.with_values({i: x for i, x in self.q.items() if i in keep})
+        """Drop entries for ids that are gone; used by static mode after a deletion.
+
+        Values and the anchor do not change, so the kept weights are the ones
+        the map already gave.  Ids the profile does not hold are ignored.
+        """
+        keep = set(np.asarray(ids, dtype=np.int64).ravel().tolist())
+        return replace(self, q={i: x for i, x in self.q.items() if i in keep},
+                       v={i: x for i, x in self.v.items() if i in keep})
 
     def weights_for(self, ids) -> dict[int, float]:
         try:

@@ -225,7 +225,8 @@ class TestRunStructure:
         report = run_continuous_deletion(cfg)
         for rec in report.records:
             assert rec.residual <= 1e-6
-            assert not rec.retrained and rec.certified
+            # retraining compares no residual with a threshold
+            assert not rec.retrained and not rec.certified
 
     def test_influence_records_certification(self):
         cfg = tiny_config(method="influence", perturbation="output",
@@ -235,6 +236,26 @@ class TestRunStructure:
             assert not rec.retrained
             assert rec.threshold > 0.0
             assert isinstance(rec.certified, bool)
+
+
+class TestOneDeletionPath:
+    @pytest.mark.parametrize("perturbation", ["none", "output", "objective"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_and_perturbation(self, method, perturbation):
+        cfg = tiny_config(method=method, perturbation=perturbation, rounds=3,
+                          repetitions=1, check_every=2, deletions_per_round=6,
+                          val_fraction=0.2,
+                          synth=SynthConfig(n=120, d_informative=3,
+                                            noise_ratio=0.1, seed=5))
+        report = run_continuous_deletion(cfg)
+        for rep in report.repetitions:
+            assert rep.error is None
+            assert [r.t for r in rep.records] == [1, 2, 3]
+        for rec in report.records:
+            if math.isnan(rec.threshold):
+                assert not rec.certified, (rec.t, rec.residual)
+        assert math.isnan(report.records[0].residual)     # round 1 is unchecked
+        assert not math.isnan(report.records[1].residual)
 
 
 class TestUnitWeightReduction:
@@ -417,7 +438,7 @@ class TestDynamicKnnCache:
 
 class TestBench:
     def test_structure_and_csv(self, tmp_path):
-        cfg = tiny_config(repetitions=1)
+        cfg = tiny_config(repetitions=1, perturbation="output")
         results = run_efficiency_bench(cfg, deletion_size=20,
                                        methods=("retrain", "newton", "dvwu-k",
                                                 "influence", "gradient-ascent"),
@@ -432,9 +453,12 @@ class TestBench:
                                 rel_tol=0.9)   # phases cover the total loosely
         dvwu = results[2]
         assert dvwu.setup_valuation_s > 0.0    # valuation happened, untimed
-        assert set(results[1].phases) == {"gradient", "hessian", "solve", "noise"}
-        assert set(results[3].phases) == {"update", "noise"}
-        assert set(results[4].phases) == {"gradient"}
+        assert set(results[0].phases) == {"retrain", "certify"}
+        assert set(results[1].phases) == {"gradient", "hessian", "solve", "noise",
+                                          "certify"}
+        assert set(results[2].phases) == set(results[1].phases)
+        assert set(results[3].phases) == {"update", "noise", "certify"}
+        assert set(results[4].phases) == {"gradient", "certify"}
 
         out = tmp_path / "bench.csv"
         write_bench_csv(results, out)

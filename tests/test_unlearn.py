@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,7 @@ from dvwu import (
     threshold0,
     threshold1,
     train,
-    unit_weights,
     unlearn_gradient_ascent,
-    unlearn_influence,
-    unlearn_newton_unweighted,
     weighted_gradient,
 )
 from dvwu.models import full_gradient, full_hessian, loss_value
@@ -42,6 +40,10 @@ from dvwu.unlearn import (
 
 import oracles
 from conftest import make_dataset
+
+
+def _ones(ids):
+    return {int(i): 1.0 for i in ids}
 
 
 def _split(data, m):
@@ -73,16 +75,19 @@ class TestWeightedGradient:
         data = make_dataset(rng, 20, 3)
         w = rng.normal(size=3)
         lam = 0.1
-        got = weighted_gradient(w, data, unit_weights(data.ids), lam,
+        got = weighted_gradient(w, data, _ones(data.ids), lam,
                                 LossKind.huberized_svm())
         want = full_gradient(w, data, lam, LossKind.huberized_svm())
         assert_allclose(got, want, rtol=1e-13)
+        # v=None is the unit-weight form without the lookup, bitwise
+        assert np.array_equal(
+            weighted_gradient(w, data, None, lam, LossKind.huberized_svm()), got)
 
     def test_linear_term_included(self, rng):
         data = make_dataset(rng, 10, 3)
         w = rng.normal(size=3)
         b = rng.normal(size=3)
-        v = unit_weights(data.ids)
+        v = _ones(data.ids)
         got = weighted_gradient(w, data, v, 0.1, LossKind.logistic(), b=b)
         want = _naive_weighted_gradient(w, data, v, 0.1, "logistic", b=b)
         assert_allclose(got, want, rtol=1e-12)
@@ -97,6 +102,14 @@ class TestWeightedGradient:
         data = make_dataset(rng, 5, 3)
         v = {int(i): 1.0 for i in data.ids[:-1]}
         with pytest.raises(InvalidArgumentError):
+            weighted_gradient(np.zeros(3), data, v, 0.1, LossKind.logistic())
+
+    @pytest.mark.parametrize("bad", [7.0, -0.1, float("nan"), float("inf")])
+    def test_weight_outside_unit_interval_rejected(self, bad, rng):
+        data = make_dataset(rng, 5, 3)
+        v = _ones(data.ids)
+        v[int(data.ids[2])] = bad
+        with pytest.raises(InvalidArgumentError, match="in \\[0, 1\\]"):
             weighted_gradient(np.zeros(3), data, v, 0.1, LossKind.logistic())
 
 
@@ -159,7 +172,7 @@ class TestNewtonStep:
         model = train(data, lam, loss, tol=1e-12)
         deleted, remaining = _split(data, 10)
         h1 = hessian_downdate(model.H, model.w, deleted, 100, 10, 1, lam, loss)
-        g = weighted_gradient(model.w, deleted, unit_weights(deleted.ids), lam, loss)
+        g = weighted_gradient(model.w, deleted, None, lam, loss)
         w1 = dvwu_newton_step(model.w, h1, g, 100, 10, 1)
         w_exact = oracles.ridge_closed_form(remaining.features, remaining.labels, lam)
         assert_allclose(w1, w_exact, rtol=1e-10, atol=1e-13)
@@ -366,7 +379,7 @@ class TestNewtonUnlearner:
         _, _, _, e2 = _engine_setup(np.random.default_rng(1234))
         deleted, remaining = _split(data, 20)
         o1 = e1.delete(deleted, remaining)
-        o2 = e2.delete(deleted, remaining, weights=unit_weights(deleted.ids))
+        o2 = e2.delete(deleted, remaining, weights=_ones(deleted.ids))
         assert np.array_equal(o1.w_internal, o2.w_internal)
         assert np.array_equal(e1.H, e2.H)
         assert o1.residual_norm == o2.residual_norm
@@ -415,6 +428,41 @@ class TestNewtonUnlearner:
         short = remaining.drop([int(remaining.ids[0])])
         with pytest.raises(InvalidArgumentError):
             engine.delete(deleted, short)
+
+    def test_rejected_round_leaves_engine_unchanged(self, rng):
+        data, model, budget, engine = _engine_setup(rng)
+        deleted, remaining = _split(data, 20)
+        short = remaining.drop([int(remaining.ids[0])])     # 279 rows, not 280
+        with pytest.raises(InvalidArgumentError):
+            engine.delete(deleted, short)
+        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert np.array_equal(engine.w, model.w) and np.array_equal(engine.H, model.H)
+        out = engine.delete(deleted, remaining)             # the next valid call runs
+        _, _, _, fresh = _engine_setup(np.random.default_rng(1234))
+        assert out.t == 1
+        assert np.array_equal(out.w_internal, fresh.delete(deleted, remaining).w_internal)
+
+    def test_ill_conditioned_round_leaves_engine_unchanged(self, rng):
+        data, model, budget, _ = _engine_setup(rng)
+        # a running Hessian at the floor cannot survive a downdate
+        weak = replace(model, H=0.5 * model.lam * np.eye(model.w.size))
+        engine = NewtonUnlearner(weak, budget)
+        deleted, remaining = _split(data, 20)
+        with pytest.raises(IllConditionedHessianError):
+            engine.delete(deleted, remaining)
+        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert np.array_equal(engine.w, weak.w) and np.array_equal(engine.H, weak.H)
+
+    @pytest.mark.parametrize("bad", [7.0, -0.1, float("nan")])
+    def test_invalid_weight_rejected_before_any_change(self, bad, rng):
+        data, model, budget, engine = _engine_setup(rng)
+        deleted, remaining = _split(data, 20)
+        v = _ones(deleted.ids)
+        v[int(deleted.ids[0])] = bad
+        with pytest.raises(InvalidArgumentError):
+            engine.delete(deleted, remaining, v)
+        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert np.array_equal(engine.w, model.w) and np.array_equal(engine.H, model.H)
 
     def test_output_mode_requires_rng(self, rng):
         with pytest.raises(InvalidArgumentError):
@@ -507,35 +555,34 @@ class TestBaselineUpdates:
         deleted, remaining = _split(data, 20)
         out = engine.delete(deleted, remaining)
         h1 = full_hessian(model.w, remaining, model.lam, model.loss)
-        w1 = unlearn_newton_unweighted(model.w, h1, deleted, 300, 20,
-                                       model.lam, model.loss)
+        g = weighted_gradient(model.w, deleted, None, model.lam, model.loss)
+        w1 = dvwu_newton_step(model.w, h1, g, 300, 20, 1)
         assert_allclose(w1, out.w_internal, rtol=1e-9, atol=1e-12)
 
     def test_influence_engine_matches_single_shot(self, rng):
         data, model, budget, _ = _engine_setup(rng)
         deleted, remaining = _split(data, 20)
-        engine = InfluenceUnlearner(model, 300)
-        w1 = engine.delete(deleted)
+        engine = InfluenceUnlearner(model, budget)
+        w1 = engine.delete(deleted, remaining).w_internal
         factor = scipy.linalg.cho_factor(model.H)
-        direct = unlearn_influence(model.w, factor, deleted, 300, 20,
-                                   model.lam, model.loss)
+        g = weighted_gradient(model.w, deleted, None, model.lam, model.loss)
+        direct = model.w + (20 / (300 - 20)) * scipy.linalg.cho_solve(factor, g)
         assert np.array_equal(w1, direct)
 
     def test_influence_improves_over_stale_parameters(self, rng):
         data, model, budget, _ = _engine_setup(rng)
         deleted, remaining = _split(data, 40)
-        engine = InfluenceUnlearner(model, 300)
-        w1 = engine.delete(deleted)
+        engine = InfluenceUnlearner(model, budget)
+        w1 = engine.delete(deleted, remaining).w_internal
         w_retrain = train(remaining, model.lam, model.loss).w
         assert (np.linalg.norm(w1 - w_retrain)
                 < np.linalg.norm(model.w - w_retrain))
 
     def test_influence_budget_exhaustion(self, rng):
         data, model, budget, _ = _engine_setup(rng)
-        engine = InfluenceUnlearner(model, 10)
-        deleted, _ = _split(data, 20)
+        engine = InfluenceUnlearner(model, budget)
         with pytest.raises(BudgetExhaustedError):
-            engine.delete(deleted)
+            engine.delete(data, data.take([]))
 
     def test_gradient_ascent_raises_deleted_loss(self, rng):
         data, model, budget, _ = _engine_setup(rng)
@@ -565,3 +612,12 @@ class TestBaselineUpdates:
         with pytest.raises(InvalidArgumentError):
             unlearn_gradient_ascent(model.w, deleted, None, model.lam,
                                     model.loss, steps=0)
+
+    @pytest.mark.parametrize("bad", [7.0, -0.1, float("nan")])
+    def test_gradient_ascent_invalid_weight(self, bad, rng):
+        data, model, budget, _ = _engine_setup(rng)
+        deleted, _ = _split(data, 20)
+        v = _ones(deleted.ids)
+        v[int(deleted.ids[-1])] = bad
+        with pytest.raises(InvalidArgumentError):
+            unlearn_gradient_ascent(model.w, deleted, v, model.lam, model.loss)

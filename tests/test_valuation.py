@@ -230,9 +230,12 @@ class TestValueProfile:
 
     def test_restrict_drops_ids(self):
         p = ValueProfile.from_initial_values({1: 0.1, 2: 0.2, 3: -0.3})
-        p2 = p.restrict([1, 3])
+        p2 = p.restrict([1, 3, 99])             # ids it does not hold are ignored
         assert set(p2.q) == {1, 3}
         assert p2.q_min_plus == 0.1
+        # the kept weights equal a fresh mapping of the kept values, bitwise
+        assert p2.v == weights_from_values(p2.q, p2.q_min_plus, p2.alpha, p2.zero_tol)
+        assert list(p2.v) == list(p2.q)
 
     def test_weights_for_missing_id(self):
         p = ValueProfile.from_initial_values({1: 0.1})
