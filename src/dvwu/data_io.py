@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,8 @@ def load_csv(path, label_column: str = "label", positive_token: str = "1",
 
     The label column maps cells equal to positive_token to +1 and everything
     else to -1.  Rows with missing cells are dropped (count logged); any
-    other unparseable cell raises DataLoadError naming the data row.
+    other unparseable or non-finite feature cell (inf, 1e400) raises
+    DataLoadError naming the data row.
     """
     try:
         fh = open(path, newline="")
@@ -174,9 +176,12 @@ def load_csv(path, label_column: str = "label", positive_token: str = "1",
                 dropped += 1
                 continue
             try:
-                rows.append([float(cells[j]) for j in feature_cols])
+                values = [float(cells[j]) for j in feature_cols]
             except ValueError as exc:
                 raise DataLoadError(f"{path}: row {row_number}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataLoadError(f"{path}: row {row_number}: non-finite feature value")
+            rows.append(values)
             labels.append(1.0 if cells[label_idx] == positive_token else -1.0)
             if id_idx is not None:
                 try:

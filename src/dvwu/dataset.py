@@ -27,6 +27,9 @@ class Dataset:
         y = np.asarray(self.labels, dtype=np.float64)
         if X.ndim != 2:
             raise InvalidArgumentError(f"features must be 2-d, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            row = int(np.argwhere(~np.isfinite(X))[0, 0])
+            raise InvalidArgumentError(f"features must be finite; row {row} is not")
         if y.shape != (X.shape[0],):
             raise InvalidArgumentError(
                 f"labels shape {y.shape} does not match {X.shape[0]} feature rows"

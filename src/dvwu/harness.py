@@ -26,7 +26,7 @@ from .data_io import (SplitResult, SynthConfig, gen_synthetic,
                       load_dataset_from_manifest, max_row_norm, norm_bound,
                       split, standardize)
 from .dataset import Dataset
-from .errors import (BudgetExhaustedError, InvalidArgumentError, UnlearnError)
+from .errors import InvalidArgumentError, UnlearnError
 from .losses import LossKind
 from .models import Metrics, ModelState, evaluate, train
 from .unlearn import (AscentUnlearner, CertBudget, InfluenceUnlearner,
@@ -199,6 +199,7 @@ class RepetitionResult:
     trajectory: list[np.ndarray] = field(default_factory=list)
     initial_metrics: Metrics | None = None
     error: str | None = None
+    budget: CertBudget | None = None    # set once the repetition built it
 
 
 @dataclass
@@ -231,32 +232,21 @@ def run_continuous_deletion(cfg: ExperimentConfig) -> ExperimentReport:
             result.error = f"{type(exc).__name__}: {exc}"
             log.warning("repetition %d failed: %s", rep, result.error)
         reps.append(result)
-    return ExperimentReport(config=cfg, repetitions=reps, constants=_constants(cfg))
+    budget = next((rep.budget for rep in reps if rep.budget is not None), None)
+    return ExperimentReport(config=cfg, repetitions=reps,
+                            constants=_constants(cfg, budget))
 
 
-def _constants(cfg: ExperimentConfig) -> dict:
+def _constants(cfg: ExperimentConfig, budget: CertBudget | None) -> dict:
+    """The certification constants, with the thresholds of the budget a
+    repetition built (none if every repetition failed before building one)."""
     loss = cfg.loss_kind()
     out: dict = {"C": loss.C, "beta": loss.beta, "gauss_constant": gauss_constant(cfg.delta)}
-    try:
-        budget = _make_budget(cfg, n=_planned_train_size(cfg))
-    except (InvalidArgumentError, BudgetExhaustedError):
-        return out
-    sched = cfg.schedule()
-    running = np.cumsum(sched)
-    out["thresholds"] = [
-        threshold1(budget, t + 1, m_round=sched[t], deleted_total=int(running[t]))
-        for t in range(cfg.rounds)]
-    out["epsilon2_prime"] = epsilon2_prime(budget, deleted_total=int(running[-1]))
+    if budget is not None:
+        out["thresholds"] = [threshold1(budget, t)
+                             for t in range(1, len(budget.schedule) + 1)]
+        out["epsilon2_prime"] = epsilon2_prime(budget)
     return out
-
-
-def _planned_train_size(cfg: ExperimentConfig) -> int:
-    if cfg.synth is None:
-        # unknown until the manifest is loaded; use a placeholder large enough
-        raise InvalidArgumentError("train size unknown before loading")
-    n_trainval = round(cfg.train_fraction * cfg.synth.n)
-    n_val = round(_effective_val_fraction(cfg) * n_trainval)
-    return n_trainval - n_val
 
 
 def _effective_val_fraction(cfg: ExperimentConfig) -> float:
@@ -266,12 +256,9 @@ def _effective_val_fraction(cfg: ExperimentConfig) -> float:
 
 
 def _make_budget(cfg: ExperimentConfig, n: int) -> CertBudget:
-    sched = cfg.schedule()
-    total = sum(sched)
-    nominal = sched[0] if len(set(sched)) == 1 else math.ceil(total / cfg.rounds)
-    return CertBudget(epsilon=cfg.epsilon, delta=cfg.delta, C=cfg.loss_kind().C,
-                      beta=cfg.loss_kind().beta, m=nominal, n=n, T=cfg.rounds,
-                      lam=cfg.lam)
+    loss = cfg.loss_kind()
+    return CertBudget(epsilon=cfg.epsilon, delta=cfg.delta, C=loss.C, beta=loss.beta,
+                      schedule=tuple(cfg.schedule()), n=n, lam=cfg.lam)
 
 
 def _prepare_data(cfg: ExperimentConfig, data_seed: int) -> SplitResult:
@@ -303,8 +290,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
     parts = _prepare_data(cfg, data_seed)
     train_set, test_set = parts.train, parts.test
     loss = cfg.loss_kind()
-    sched = cfg.schedule()
-    budget = _make_budget(cfg, n=train_set.n)
+    budget = result.budget = _make_budget(cfg, n=train_set.n)
 
     b = None
     if cfg.perturbation == PERTURB_OBJECTIVE:
@@ -327,13 +313,9 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
                            cache=knn_cache)
         profile = ValueProfile.from_initial_values(q, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
 
-    unlearner = _make_unlearner(cfg, model, budget, noise_rng, planned_total=sum(sched))
+    unlearner = _make_unlearner(cfg, model, budget, noise_rng)
     remaining = train_set
-    for t in range(1, cfg.rounds + 1):
-        m_t = sched[t - 1]
-        if remaining.n - m_t < 1:
-            raise BudgetExhaustedError(
-                f"round {t} would delete {m_t} of {remaining.n} remaining samples")
+    for t, m_t in enumerate(budget.schedule, start=1):
         deleted_ids = _sample_deletion(cfg, delete_rng, remaining, profile, m_t)
         deleted = remaining.select(deleted_ids)
         next_remaining = remaining.drop(deleted_ids)
@@ -375,11 +357,10 @@ def _sample_deletion(cfg: ExperimentConfig, rng: np.random.Generator,
 
 
 def _make_unlearner(cfg: ExperimentConfig, model: ModelState, budget: CertBudget,
-                    noise_rng: np.random.Generator, planned_total: int) -> Unlearner:
+                    noise_rng: np.random.Generator) -> Unlearner:
     """The unlearner for cfg.method, starting from the trained model."""
     common = dict(perturbation=cfg.perturbation, noise_rng=noise_rng,
-                  train_tol=cfg.train_tol, check_every=cfg.check_every,
-                  planned_total=planned_total)
+                  train_tol=cfg.train_tol, check_every=cfg.check_every)
     if cfg.method == METHOD_RETRAIN:
         return RetrainUnlearner(model, budget, **common)
     if cfg.method == METHOD_INFLUENCE:
@@ -627,8 +608,7 @@ def run_efficiency_bench(cfg: ExperimentConfig, deletion_size: int | None = None
     parts = _prepare_data(cfg, cfg.synth.seed if cfg.synth is not None else cfg.base_seed)
     train_set, test_set = parts.train, parts.test
     m = int(deletion_size if deletion_size is not None else cfg.schedule()[0])
-    budget = CertBudget(epsilon=cfg.epsilon, delta=cfg.delta, C=loss.C, beta=loss.beta,
-                        m=m, n=train_set.n, T=1, lam=cfg.lam)
+    budget = _make_budget(replace(cfg, rounds=1, deletions_per_round=m), n=train_set.n)
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, 404]))
     b = (objective_perturb_setup(budget, train_set.d, noise_rng)
          if cfg.perturbation == PERTURB_OBJECTIVE else None)
@@ -657,7 +637,7 @@ def run_efficiency_bench(cfg: ExperimentConfig, deletion_size: int | None = None
         group = [i for i, c in enumerate(configs) if (c.method == METHOD_RETRAIN) == retrain_pass]
         for trial in range(warmup + trials):
             for i in group:
-                unlearner = _make_unlearner(configs[i], model, budget, noise_rng, planned_total=m)
+                unlearner = _make_unlearner(configs[i], model, budget, noise_rng)
                 outcome = unlearner.delete(deleted, remaining, weights[i])
                 if trial >= warmup:
                     samples[i].append(outcome.elapsed)

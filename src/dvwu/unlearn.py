@@ -1,15 +1,17 @@
 """Certified deletion by weighted one-step Newton updates.
 
-One deletion round removes a batch M of m samples from the n - (t-1)m that
-remain, then moves the parameters by a single Newton step built from three
-pieces:
+A deletion budget (CertBudget) fixes the schedule: round t removes a batch M
+of m_t samples, and n_t = n - s_t remain, where s_t = m_1 + ... + m_t (a
+uniform schedule of m per round has s_t = tm).  The schedule is the one
+source of these counts; every batch must follow it.  One round moves the
+parameters by a single Newton step built from three pieces:
 
   * the weighted deletion gradient
-        g_v = (1/m) sum_{v_i != 0} v_i (grad ell(w, z_i) + lam w [+ b]),
+        g_v = (1/m_t) sum_{v_i != 0} v_i (grad ell(w, z_i) + lam w [+ b]),
   * a Hessian downdate that removes the batch's curvature without touching
     the other samples,
-        H_t = ((n - tm + m) H_{t-1} - sum_i (hess ell(w, z_i) + lam I)) / (n - tm),
-  * the step itself,  w_t = w_{t-1} + m/(n - tm) * solve(H_t, g_v).
+        H_t = (n_{t-1} H_{t-1} - sum_i (hess ell(w, z_i) + lam I)) / n_t,
+  * the step itself,  w_t = w_{t-1} + m_t / n_t * solve(H_t, g_v).
 
 Certification compares the gradient residual on the remaining data against a
 closed-form threshold; when it fails, the engine falls back to exact
@@ -55,19 +57,19 @@ _PERTURBATIONS = (PERTURB_NONE, PERTURB_OUTPUT, PERTURB_OBJECTIVE)
 class CertBudget:
     """Constants that fix the certification thresholds and noise scales.
 
-    n is the initial training-set size, m the nominal per-round deletion
-    count, T the number of rounds the budget must survive.  C bounds the
-    per-sample gradient norm and beta the Hessian Lipschitz constant, both
-    valid for feature rows with norm <= 1.
+    n is the initial training-set size and schedule the number of samples
+    each round deletes, one entry per round: a uniform schedule of T rounds
+    of m is (m,) * T.  Every deletion count the bounds use comes from the
+    schedule.  C bounds the per-sample gradient norm and beta the Hessian
+    Lipschitz constant, both valid for feature rows with norm <= 1.
     """
 
     epsilon: float
     delta: float
     C: float
     beta: float
-    m: int
+    schedule: tuple[int, ...]
     n: int
-    T: int
     lam: float
 
     def __post_init__(self):
@@ -77,19 +79,25 @@ class CertBudget:
             raise InvalidArgumentError(f"delta must be in (0, 1), got {self.delta}")
         if not self.C > 0 or self.beta < 0:
             raise InvalidArgumentError("need C > 0 and beta >= 0")
-        if self.m < 1 or self.T < 1:
-            raise InvalidArgumentError("need m >= 1 and T >= 1")
+        schedule = tuple(int(m) for m in self.schedule)
+        if not schedule or min(schedule) < 1:
+            raise InvalidArgumentError(
+                f"the schedule needs at least one round and m >= 1 in each, got {schedule}")
+        object.__setattr__(self, "schedule", schedule)
         if not self.lam > 0:
             raise InvalidArgumentError(f"lam must be positive, got {self.lam}")
-        if self.n - self.T * self.m <= 0:
+        if self.n - sum(schedule) <= 0:
             raise InvalidArgumentError(
-                f"deletion budget infeasible: n - T*m = {self.n - self.T * self.m} <= 0")
+                f"deletion budget infeasible: n - sum(schedule) = {self.n - sum(schedule)} <= 0")
 
-    @classmethod
-    def for_loss(cls, loss: LossKind, epsilon: float, delta: float, m: int, n: int,
-                 T: int, lam: float) -> "CertBudget":
-        return cls(epsilon=epsilon, delta=delta, C=loss.C, beta=loss.beta,
-                   m=m, n=n, T=T, lam=lam)
+    def counts(self, t: int) -> tuple[int, int]:
+        """(m_t, s_t): the size of round t's batch and the total deleted by its end."""
+        if t < 1:
+            raise InvalidArgumentError(f"t must be >= 1, got {t}")
+        if t > len(self.schedule):
+            raise BudgetExhaustedError(
+                f"round {t} is past the schedule's {len(self.schedule)} rounds")
+        return self.schedule[t - 1], sum(self.schedule[:t])
 
 
 def gauss_constant(delta: float) -> float:
@@ -99,59 +107,53 @@ def gauss_constant(delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta))
 
 
-def epsilon1_prime(budget: CertBudget, t: int, *, m_round: int | None = None,
-                   deleted_total: int | None = None) -> float:
-    """Round-t bound on the parameter gap to exact retraining.
+def epsilon1_prime(budget: CertBudget, t: int) -> float:
+    """Round-t bound on the parameter gap to exact retraining,
 
-        eps1'(t) = 4 beta C^2 m^2 t / (lam^3 (n - tm)^2) + 4 C m t / (lam (n - tm))
+        eps1'(t) = 4 beta C^2 m_t s_t / (lam^3 (n - s_t)^2) + 4 C s_t / (lam (n - s_t)),
 
-    Non-uniform round sizes substitute the running deleted count for t*m and
-    the current round's size for the lone m factor.
+    with m_t and s_t from the schedule; a uniform schedule has s_t = tm.
     """
-    m_r, s_t = _round_counts(budget, t, m_round, deleted_total)
+    m_t, s_t = budget.counts(t)
     rem = budget.n - s_t
     lam = budget.lam
-    return (4.0 * budget.beta * budget.C ** 2 * m_r * s_t / (lam ** 3 * rem ** 2)
+    return (4.0 * budget.beta * budget.C ** 2 * m_t * s_t / (lam ** 3 * rem ** 2)
             + 4.0 * budget.C * s_t / (lam * rem))
 
 
-def epsilon2_prime(budget: CertBudget, *, deleted_total: int | None = None,
-                   m_round: int | None = None) -> float:
-    """Whole-sequence bound on the gradient residual, evaluated at t = T.
+def epsilon2_prime(budget: CertBudget) -> float:
+    """Whole-sequence bound on the gradient residual,
 
-        eps2' = 4 beta C^2 m^2 T / (lam^2 (n - Tm)^2) + 4 C m T / (n - Tm)
+        eps2' = 4 beta C^2 m s_T / (lam^2 (n - s_T)^2) + 4 C s_T / (n - s_T),
+
+    with s_T = sum(schedule) and m = ceil(s_T / T), which is (m, Tm) on a
+    uniform schedule.  The objective noise and the objective threshold both
+    use this one value.
     """
-    s_T = budget.T * budget.m if deleted_total is None else int(deleted_total)
-    m_r = budget.m if m_round is None else int(m_round)
+    s_T = sum(budget.schedule)
+    m = -(-s_T // len(budget.schedule))
     rem = budget.n - s_T
-    if rem <= 0:
-        raise BudgetExhaustedError(f"n - T*m = {rem} <= 0")
     lam = budget.lam
-    return (4.0 * budget.beta * budget.C ** 2 * m_r * s_T / (lam ** 2 * rem ** 2)
+    return (4.0 * budget.beta * budget.C ** 2 * m * s_T / (lam ** 2 * rem ** 2)
             + 4.0 * budget.C * s_T / rem)
 
 
-def threshold0(budget: CertBudget, t: int, *, m_round: int | None = None,
-               deleted_total: int | None = None) -> float:
+def threshold0(budget: CertBudget, t: int) -> float:
     """Certification threshold when every deleted sample has weight zero:
-    the update is skipped, so the residual bound tightens to 2 C m t / (n - tm).
+    the update is skipped, so the residual bound tightens to 2 C s_t / (n - s_t).
     """
-    _, s_t = _round_counts(budget, t, m_round, deleted_total)
+    _, s_t = budget.counts(t)
     return 2.0 * budget.C * s_t / (budget.n - s_t)
 
 
-def threshold1(budget: CertBudget, t: int, *, m_round: int | None = None,
-               deleted_total: int | None = None) -> float:
+def threshold1(budget: CertBudget, t: int) -> float:
     """General output-perturbation certification threshold, lam * eps1'(t)."""
-    return budget.lam * epsilon1_prime(budget, t, m_round=m_round,
-                                       deleted_total=deleted_total)
+    return budget.lam * epsilon1_prime(budget, t)
 
 
-def output_noise_std(budget: CertBudget, t: int, *, m_round: int | None = None,
-                     deleted_total: int | None = None) -> float:
+def output_noise_std(budget: CertBudget, t: int) -> float:
     """Per-coordinate std of the round-t output noise, c * eps1'(t) / epsilon."""
-    return (gauss_constant(budget.delta) / budget.epsilon
-            * epsilon1_prime(budget, t, m_round=m_round, deleted_total=deleted_total))
+    return gauss_constant(budget.delta) / budget.epsilon * epsilon1_prime(budget, t)
 
 
 def objective_noise_std(budget: CertBudget) -> float:
@@ -160,12 +162,10 @@ def objective_noise_std(budget: CertBudget) -> float:
 
 
 def output_perturb(w_t: np.ndarray, budget: CertBudget, t: int,
-                   rng: int | np.random.Generator, *, m_round: int | None = None,
-                   deleted_total: int | None = None) -> np.ndarray:
+                   rng: int | np.random.Generator) -> np.ndarray:
     """Publishable parameters: w_t plus fresh spherical Gaussian noise."""
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    std = output_noise_std(budget, t, m_round=m_round, deleted_total=deleted_total)
-    return w_t + gen.normal(0.0, std, size=w_t.shape)
+    return w_t + gen.normal(0.0, output_noise_std(budget, t), size=w_t.shape)
 
 
 def objective_perturb_setup(budget: CertBudget, d: int,
@@ -213,51 +213,47 @@ def weighted_gradient(w: np.ndarray, deleted: Dataset, v: Mapping[int, float] | 
 
 
 def hessian_downdate(H_prev: np.ndarray, w_prev: np.ndarray, deleted: Dataset,
-                     n: int, m: int, t: int, lam: float, loss: LossKind, *,
-                     n_prev: int | None = None, n_curr: int | None = None) -> np.ndarray:
+                     n_after: int, lam: float, loss: LossKind) -> np.ndarray:
     """Remove the deleted batch's curvature from the running Hessian:
 
-        H_t = ((n - tm + m) H_{t-1} - sum_i (hess ell(w_{t-1}, z_i) + lam I)) / (n - tm)
+        H_t = ((n_t + m_t) H_{t-1} - sum_i (hess ell(w_{t-1}, z_i) + lam I)) / n_t
 
-    Applied to the full batch regardless of weights: the samples leave the
-    dataset either way.  n_prev / n_curr override the uniform-schedule counts
-    when round sizes vary.
+    with m_t = deleted.n and n_t = n_after, the rows that remain.  Applied to
+    the full batch regardless of weights: the samples leave the dataset
+    either way.
     """
-    if deleted.n != m:
-        raise InvalidArgumentError(f"batch has {deleted.n} rows but m = {m}")
-    before = n - (t - 1) * m if n_prev is None else int(n_prev)
-    after = n - t * m if n_curr is None else int(n_curr)
-    if after < 1:
+    if n_after < 1:
         raise BudgetExhaustedError(
-            f"round {t} would leave {after} samples; deletion budget exhausted")
-    if before - after != deleted.n:
-        raise InvalidArgumentError("sample counts disagree with the batch size")
+            f"the round would leave {n_after} samples; deletion budget exhausted")
     c = curvature_coefficients(loss, w_prev, deleted.features, deleted.labels)
     S = (deleted.features.T * c) @ deleted.features
     S = 0.5 * (S + S.T) + deleted.n * lam * np.eye(deleted.d)
-    H = (before * H_prev - S) / after
+    H = ((n_after + deleted.n) * H_prev - S) / n_after
     return 0.5 * (H + H.T)
 
 
+def _cholesky(H: np.ndarray):
+    try:
+        return scipy.linalg.cho_factor(H)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise IllConditionedHessianError(f"Hessian not positive definite enough: {exc}") from exc
+
+
 def dvwu_newton_step(w_prev: np.ndarray, H_t: np.ndarray, grad_v: np.ndarray,
-                     n: int, m: int, t: int, *, n_curr: int | None = None,
+                     m: int, n_after: int, *,
                      min_eig_floor: float | None = None) -> np.ndarray:
-    """One weighted Newton update, w_t = w_{t-1} + m/(n - tm) * H_t^{-1} grad_v.
+    """One weighted Newton update, w_t = w_{t-1} + m/n_after * H_t^{-1} grad_v,
+    for a batch of m rows that leaves n_after.
 
     Solved by Cholesky factorization, never an explicit inverse.  When
     min_eig_floor is given, H_t - floor*I must also factor, which certifies
     the smallest eigenvalue is above the floor.
     """
-    after = n - t * m if n_curr is None else int(n_curr)
-    if after < 1:
-        raise BudgetExhaustedError(f"n - tm = {after} <= 0")
-    try:
-        if min_eig_floor is not None:
-            scipy.linalg.cho_factor(H_t - min_eig_floor * np.eye(H_t.shape[0]))
-        factor = scipy.linalg.cho_factor(H_t)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedHessianError(f"Hessian not positive definite enough: {exc}") from exc
-    return w_prev + (m / after) * scipy.linalg.cho_solve(factor, grad_v)
+    if n_after < 1:
+        raise BudgetExhaustedError(f"the round would leave {n_after} samples")
+    if min_eig_floor is not None:
+        _cholesky(H_t - min_eig_floor * np.eye(H_t.shape[0]))
+    return w_prev + (m / n_after) * scipy.linalg.cho_solve(_cholesky(H_t), grad_v)
 
 
 def gradient_residual(w: np.ndarray, data: Dataset, lam: float, loss: LossKind,
@@ -311,12 +307,13 @@ def certify_or_retrain(t: int, w_t: np.ndarray, data_t: Dataset, threshold: floa
 class Unlearner:
     """One deletion method: delete(deleted, remaining, weights) -> RoundOutcome.
 
-    The base holds what every method shares: the parameters, the deletion
-    counters, the output-noise draw and the residual check on the check_every
-    cadence.  A subclass's delete() runs _validate, computes its update into
-    locals, then _finish and _commit, so a rejected or failed round leaves the
-    counters, parameters and Hessian as they were (the noise generator may
-    have advanced).  The caller owns the datasets and the value profile.
+    The base holds what every method shares: the parameters, the round
+    counter, the schedule check, the output-noise draw and the residual check
+    on the check_every cadence.  A subclass's delete() runs _validate,
+    computes its update into locals, then _finish and _commit, so a rejected
+    or failed round leaves the counter, parameters and Hessian as they were
+    (the noise generator may have advanced).  The caller owns the datasets
+    and the value profile.
     """
 
     publishes = True    # draws output noise under output perturbation
@@ -326,7 +323,7 @@ class Unlearner:
                  perturbation: str = PERTURB_NONE,
                  noise_rng: int | np.random.Generator | None = None,
                  train_tol: float = 1e-8, check_every: int = 1,
-                 planned_total: int | None = None, certify: bool | None = None):
+                 certify: bool | None = None):
         if perturbation not in _PERTURBATIONS:
             raise InvalidArgumentError(f"unknown perturbation mode {perturbation!r}")
         if perturbation == PERTURB_OBJECTIVE and model.b is None:
@@ -344,38 +341,39 @@ class Unlearner:
         self.perturbation = perturbation
         self.train_tol = train_tol
         self.check_every = check_every
-        self.planned_total = planned_total
         self.certify = (perturbation != PERTURB_NONE) if certify is None else certify
         self.w = np.array(model.w)
         self.t = 0
-        self.deleted_total = 0
         self.noise_rng = (np.random.default_rng(noise_rng)
                           if isinstance(noise_rng, (int, np.integer)) or noise_rng is None
                           else noise_rng)
 
     def _validate(self, deleted: Dataset, remaining: Dataset) -> None:
+        """Reject a round that does not follow the budget's schedule."""
         if deleted.n < 1:
             raise InvalidArgumentError("deletion batch is empty")
         if remaining.n < 1:
             raise BudgetExhaustedError("no samples would remain after this round")
+        m_t, s_t = self.budget.counts(self.t + 1)    # raises past the last round
+        if deleted.n != m_t:
+            raise InvalidArgumentError(
+                f"round {self.t + 1} deletes {m_t} rows by the schedule, got {deleted.n}")
         if np.intersect1d(deleted.ids, remaining.ids).size:
             raise InvalidArgumentError("deleted and remaining datasets overlap")
-        expected = self.budget.n - self.deleted_total - deleted.n
-        if remaining.n != expected:
+        if remaining.n != self.budget.n - s_t:
             raise InvalidArgumentError(
-                f"remaining set has {remaining.n} rows, expected {expected}")
+                f"remaining set has {remaining.n} rows, expected {self.budget.n - s_t}")
 
-    def _finish(self, w_t: np.ndarray, deleted: Dataset, remaining: Dataset,
+    def _finish(self, w_t: np.ndarray, remaining: Dataset,
                 elapsed: dict[str, float]) -> RoundOutcome:
         """Draw the output noise, then on checked rounds compare the residual
         with the threshold.  Only a residual compared and found below the
         threshold certifies a round."""
-        t, total = self.t + 1, self.deleted_total + deleted.n
+        t = self.t + 1
         w_pub = None
         if self.publishes and self.perturbation == PERTURB_OUTPUT:
             tic = time.perf_counter()
-            w_pub = output_perturb(w_t, self.budget, t, self.noise_rng,
-                                   m_round=deleted.n, deleted_total=total)
+            w_pub = output_perturb(w_t, self.budget, t, self.noise_rng)
             elapsed["noise"] = time.perf_counter() - tic
         outcome = RoundOutcome(t=t, w_internal=w_t, w_published=w_pub,
                                residual_norm=float("nan"), threshold=float("nan"),
@@ -385,9 +383,9 @@ class Unlearner:
         if not self.certify:
             threshold = float("nan")
         elif self.perturbation == PERTURB_OBJECTIVE:
-            threshold = epsilon2_prime(self.budget, deleted_total=self.planned_total)
+            threshold = epsilon2_prime(self.budget)
         else:
-            threshold = threshold1(self.budget, t, m_round=deleted.n, deleted_total=total)
+            threshold = threshold1(self.budget, t)
         tic = time.perf_counter()
         if self.certify and self.fallback:
             outcome = certify_or_retrain(t, w_t, remaining, threshold, self.lam,
@@ -403,9 +401,8 @@ class Unlearner:
                      t, outcome.residual_norm, outcome.threshold)
         return replace(outcome, elapsed=elapsed)
 
-    def _commit(self, deleted: Dataset, outcome: RoundOutcome) -> RoundOutcome:
+    def _commit(self, outcome: RoundOutcome) -> RoundOutcome:
         self.t += 1
-        self.deleted_total += deleted.n
         self.w = outcome.w_internal
         return outcome
 
@@ -426,28 +423,26 @@ class NewtonUnlearner(Unlearner):
                weights: Mapping[int, float] | None = None) -> RoundOutcome:
         """Run one deletion round.  weights=None means all ones."""
         self._validate(deleted, remaining)
-        t, m, n_curr = self.t + 1, deleted.n, remaining.n
         elapsed: dict[str, float] = {}
         tic = time.perf_counter()
         g_v = weighted_gradient(self.w, deleted, weights, self.lam, self.loss, self.b)
         elapsed["gradient"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        H = hessian_downdate(self.H, self.w, deleted, self.budget.n, m, t, self.lam,
-                             self.loss, n_prev=n_curr + m, n_curr=n_curr)
+        H = hessian_downdate(self.H, self.w, deleted, remaining.n, self.lam, self.loss)
         elapsed["hessian"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        w_t = dvwu_newton_step(self.w, H, g_v, self.budget.n, m, t, n_curr=n_curr,
+        w_t = dvwu_newton_step(self.w, H, g_v, deleted.n, remaining.n,
                                min_eig_floor=self.lam / 2.0)
         elapsed["solve"] = time.perf_counter() - tic
 
-        outcome = self._finish(w_t, deleted, remaining, elapsed)
+        outcome = self._finish(w_t, remaining, elapsed)
         if outcome.retrained:
             # Re-anchor the running Hessian at the retrained parameters.
             H = full_hessian(outcome.w_internal, remaining, self.lam, self.loss)
         self.H = H
-        return self._commit(deleted, outcome)
+        return self._commit(outcome)
 
 
 class InfluenceUnlearner(Unlearner):
@@ -462,7 +457,7 @@ class InfluenceUnlearner(Unlearner):
 
     def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
         super().__init__(model, budget, **kwargs)
-        self.factor = scipy.linalg.cho_factor(model.H)
+        self.factor = _cholesky(model.H)
 
     def delete(self, deleted: Dataset, remaining: Dataset,
                weights: Mapping[int, float] | None = None) -> RoundOutcome:
@@ -471,7 +466,7 @@ class InfluenceUnlearner(Unlearner):
         g = weighted_gradient(self.w, deleted, None, self.lam, self.loss, self.b)
         w_t = self.w + (deleted.n / remaining.n) * scipy.linalg.cho_solve(self.factor, g)
         elapsed = {"update": time.perf_counter() - tic}
-        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
+        return self._commit(self._finish(w_t, remaining, elapsed))
 
 
 class AscentUnlearner(Unlearner):
@@ -495,7 +490,7 @@ class AscentUnlearner(Unlearner):
         w_t = unlearn_gradient_ascent(self.w, deleted, weights, self.lam, self.loss,
                                       eta=self.eta, steps=self.steps, b=self.b)
         elapsed = {"gradient": time.perf_counter() - tic}
-        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
+        return self._commit(self._finish(w_t, remaining, elapsed))
 
 
 class RetrainUnlearner(Unlearner):
@@ -518,7 +513,7 @@ class RetrainUnlearner(Unlearner):
         tic = time.perf_counter()
         w_t = train(remaining, self.lam, self.loss, tol=self.train_tol).w
         elapsed = {"retrain": time.perf_counter() - tic}
-        return self._commit(deleted, self._finish(w_t, deleted, remaining, elapsed))
+        return self._commit(self._finish(w_t, remaining, elapsed))
 
 
 def unlearn_gradient_ascent(w: np.ndarray, deleted: Dataset, v: Mapping[int, float] | None,
@@ -536,13 +531,3 @@ def unlearn_gradient_ascent(w: np.ndarray, deleted: Dataset, v: Mapping[int, flo
         out = out + eta * weighted_gradient(out, deleted, v, lam, loss, b)
     return out
 
-
-def _round_counts(budget: CertBudget, t: int, m_round: int | None,
-                  deleted_total: int | None) -> tuple[int, int]:
-    if t < 1:
-        raise InvalidArgumentError(f"t must be >= 1, got {t}")
-    m_r = budget.m if m_round is None else int(m_round)
-    s_t = t * budget.m if deleted_total is None else int(deleted_total)
-    if budget.n - s_t <= 0:
-        raise BudgetExhaustedError(f"n - tm = {budget.n - s_t} <= 0 at round {t}")
-    return m_r, s_t

@@ -44,6 +44,12 @@ class TestDataset:
                     labels=np.array([1.0, 1.0, -1.0]),
                     ids=np.array([5, 5, 6]))
 
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_rejects_non_finite_features(self, bad):
+        features = np.array([[0.0, 1.0], [bad, 1.0], [2.0, 3.0]])
+        with pytest.raises(InvalidArgumentError, match="finite; row 1"):
+            Dataset(features=features, labels=np.ones(3))
+
     def test_select_drop_partition(self, rng):
         d = Dataset(features=rng.normal(size=(8, 2)),
                     labels=np.where(rng.normal(size=8) > 0, 1.0, -1.0),
@@ -184,6 +190,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text("id,f0,label\n0,1.0,1\n1,abc,0\n")
         with pytest.raises(DataLoadError, match="row 1"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_file_and_row(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,f0,f1,label\n0,1.0,2.0,1\n1,0.5,2.0,0\n2,{cell},1.0,1\n")
+        with pytest.raises(DataLoadError, match=r"d\.csv: row 2: non-finite"):
             load_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):

@@ -548,6 +548,21 @@ class TestCli:
         assert out.exists()
         assert "newton" in capsys.readouterr().out
 
+    def test_ill_conditioned_influence_fails_run_cleanly(self, tmp_path, capsys,
+                                                         monkeypatch):
+        from dvwu import harness
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", lambda *a, **kw: replace(
+            real_train(*a, **kw), H=-np.eye(4)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = influence\nrounds = 1\ndeletions_per_round = 10\n"
+                       "synth.n = 200\nsynth.d_informative = 3\nsynth.d_redundant = 1\n")
+        out_dir = tmp_path / "results"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        errors = json.loads((out_dir / "manifest.json").read_text())["errors"]
+        assert errors["0"].startswith("IllConditionedHessianError")
+
     def test_missing_files_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path)]) == 2

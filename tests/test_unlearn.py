@@ -122,7 +122,7 @@ class TestHessianDowndate:
         w = rng.normal(size=4)
         h_full = full_hessian(w, data, lam, loss)
         deleted, remaining = _split(data, 10)
-        h_down = hessian_downdate(h_full, w, deleted, 50, 10, 1, lam, loss)
+        h_down = hessian_downdate(h_full, w, deleted, 40, lam, loss)
         assert_allclose(h_down, full_hessian(w, remaining, lam, loss),
                         rtol=1e-12, atol=1e-14)
 
@@ -131,7 +131,7 @@ class TestHessianDowndate:
         w = rng.normal(size=5)
         h = full_hessian(w, data, 0.01, LossKind.logistic())
         deleted, _ = _split(data, 6)
-        h2 = hessian_downdate(h, w, deleted, 30, 6, 1, 0.01, LossKind.logistic())
+        h2 = hessian_downdate(h, w, deleted, 24, 0.01, LossKind.logistic())
         assert np.array_equal(h2, h2.T)
 
     def test_chain_at_fixed_parameters(self, rng):
@@ -143,24 +143,16 @@ class TestHessianDowndate:
         d1, rest = _split(data, 8)
         d2, rest2 = _split(rest, 8)
         h = full_hessian(w, data, lam, loss)
-        h = hessian_downdate(h, w, d1, 40, 8, 1, lam, loss)
-        h = hessian_downdate(h, w, d2, 40, 8, 2, lam, loss)
+        h = hessian_downdate(h, w, d1, 32, lam, loss)
+        h = hessian_downdate(h, w, d2, 24, lam, loss)
         assert_allclose(h, full_hessian(w, rest2, lam, loss),
                         rtol=1e-11, atol=1e-13)
-
-    def test_batch_size_mismatch(self, rng):
-        data = make_dataset(rng, 20, 3)
-        deleted, _ = _split(data, 4)
-        h = np.eye(3)
-        with pytest.raises(InvalidArgumentError):
-            hessian_downdate(h, np.zeros(3), deleted, 20, 5, 1, 0.1,
-                             LossKind.logistic())
 
     def test_budget_exhaustion(self, rng):
         data = make_dataset(rng, 8, 3)
         deleted, _ = _split(data, 8)
         with pytest.raises(BudgetExhaustedError):
-            hessian_downdate(np.eye(3), np.zeros(3), deleted, 8, 8, 1, 0.1,
+            hessian_downdate(np.eye(3), np.zeros(3), deleted, 0, 0.1,
                              LossKind.logistic())
 
 
@@ -171,46 +163,46 @@ class TestNewtonStep:
         lam = 0.05
         model = train(data, lam, loss, tol=1e-12)
         deleted, remaining = _split(data, 10)
-        h1 = hessian_downdate(model.H, model.w, deleted, 100, 10, 1, lam, loss)
+        h1 = hessian_downdate(model.H, model.w, deleted, 90, lam, loss)
         g = weighted_gradient(model.w, deleted, None, lam, loss)
-        w1 = dvwu_newton_step(model.w, h1, g, 100, 10, 1)
+        w1 = dvwu_newton_step(model.w, h1, g, 10, 90)
         w_exact = oracles.ridge_closed_form(remaining.features, remaining.labels, lam)
         assert_allclose(w1, w_exact, rtol=1e-10, atol=1e-13)
 
     def test_zero_gradient_leaves_parameters_bitwise(self, rng):
         w = rng.normal(size=4)
         h = np.eye(4) * 0.5
-        w1 = dvwu_newton_step(w, h, np.zeros(4), 100, 10, 1)
+        w1 = dvwu_newton_step(w, h, np.zeros(4), 10, 90)
         assert np.array_equal(w1, w)
 
     def test_step_scales_with_batch_fraction(self, rng):
         w = np.zeros(3)
         h = np.eye(3)
         g = rng.normal(size=3)
-        s1 = dvwu_newton_step(w, h, g, 100, 10, 1) - w     # 10/90
-        s2 = dvwu_newton_step(w, h, g, 100, 30, 1) - w     # 30/70
+        s1 = dvwu_newton_step(w, h, g, 10, 90) - w     # 10/90
+        s2 = dvwu_newton_step(w, h, g, 30, 70) - w     # 30/70
         assert_allclose(s2, s1 * (30.0 / 70.0) / (10.0 / 90.0), rtol=1e-12)
 
     def test_minimum_eigenvalue_floor(self):
         w = np.zeros(2)
         g = np.ones(2)
         with pytest.raises(IllConditionedHessianError):
-            dvwu_newton_step(w, 0.2 * np.eye(2), g, 100, 10, 1, min_eig_floor=0.5)
-        dvwu_newton_step(w, 1.0 * np.eye(2), g, 100, 10, 1, min_eig_floor=0.5)
+            dvwu_newton_step(w, 0.2 * np.eye(2), g, 10, 90, min_eig_floor=0.5)
+        dvwu_newton_step(w, 1.0 * np.eye(2), g, 10, 90, min_eig_floor=0.5)
 
     def test_indefinite_hessian_rejected(self):
         h = np.array([[1.0, 0.0], [0.0, -0.5]])
         with pytest.raises(IllConditionedHessianError):
-            dvwu_newton_step(np.zeros(2), h, np.ones(2), 100, 10, 1)
+            dvwu_newton_step(np.zeros(2), h, np.ones(2), 10, 90)
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhaustedError):
-            dvwu_newton_step(np.zeros(2), np.eye(2), np.ones(2), 100, 100, 1)
+            dvwu_newton_step(np.zeros(2), np.eye(2), np.ones(2), 100, 0)
 
 
 def _budget(**kw):
-    base = dict(epsilon=1.0, delta=1e-4, C=1.0, beta=0.1, m=1000, n=21000,
-                T=15, lam=1e-3)
+    base = dict(epsilon=1.0, delta=1e-4, C=1.0, beta=0.1, schedule=(1000,) * 15,
+                n=21000, lam=1e-3)
     base.update(kw)
     return CertBudget(**base)
 
@@ -234,17 +226,18 @@ class TestBoundsAndThresholds:
 
     def test_epsilon1_formula_transcription(self):
         b = _budget()
+        m = 1000
         for t in (1, 5, 15):
-            s = t * b.m
+            s = t * m
             rem = b.n - s
-            want = (4.0 * b.beta * b.C ** 2 * b.m * s / (b.lam ** 3 * rem ** 2)
+            want = (4.0 * b.beta * b.C ** 2 * m * s / (b.lam ** 3 * rem ** 2)
                     + 4.0 * b.C * s / (b.lam * rem))
             assert_allclose(epsilon1_prime(b, t), want, rtol=1e-15)
 
     def test_epsilon2_is_final_round_epsilon1_scaled(self):
         for lam in (1e-3, 0.05, 1.0):
             b = _budget(lam=lam)
-            assert_allclose(epsilon2_prime(b), lam * epsilon1_prime(b, b.T),
+            assert_allclose(epsilon2_prime(b), lam * epsilon1_prime(b, len(b.schedule)),
                             rtol=1e-12)
 
     def test_threshold0_reference_values(self):
@@ -265,13 +258,22 @@ class TestBoundsAndThresholds:
                 assert threshold0(b, t) < threshold1(b, t)
 
     def test_nonuniform_schedule_uses_running_totals(self):
-        b = _budget(m=1000)
-        # after rounds of 500 and 1500 the bound state matches t=2 uniform
-        got = epsilon1_prime(b, 2, m_round=1500, deleted_total=2000)
+        b = _budget(schedule=(500, 1500) + (1000,) * 12 + (999,))
+        # after rounds of 500 and 1500: m_t = 1500 and s_t = 2000
         s, rem = 2000, b.n - 2000
         want = (4.0 * b.beta * b.C ** 2 * 1500 * s / (b.lam ** 3 * rem ** 2)
                 + 4.0 * b.C * s / (b.lam * rem))
-        assert_allclose(got, want, rtol=1e-15)
+        assert_allclose(epsilon1_prime(b, 2), want, rtol=1e-15)
+        assert threshold0(b, 2) == 2.0 * b.C * s / rem
+
+    def test_epsilon2_on_nonuniform_schedule(self):
+        b = _budget(schedule=(500, 1500) + (1000,) * 12 + (999,))
+        # s_T = 14999 and m = ceil(14999 / 15) = 1000, for noise and threshold alike
+        s, m, rem = 14999, 1000, b.n - 14999
+        want = (4.0 * b.beta * b.C ** 2 * m * s / (b.lam ** 2 * rem ** 2)
+                + 4.0 * b.C * s / rem)
+        assert_allclose(epsilon2_prime(b), want, rtol=1e-15)
+        assert objective_noise_std(b) == gauss_constant(b.delta) / b.epsilon * epsilon2_prime(b)
 
     def test_budget_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -279,11 +281,15 @@ class TestBoundsAndThresholds:
         with pytest.raises(InvalidArgumentError):
             _budget(delta=1.0)
         with pytest.raises(InvalidArgumentError):
-            _budget(n=1000, m=100, T=10)   # nothing would remain
+            _budget(n=1000, schedule=(100,) * 10)   # nothing would remain
+        for bad in ((), (10, 0)):
+            with pytest.raises(InvalidArgumentError):
+                _budget(schedule=bad)
+        assert _budget(n=26, schedule=(5, 12, 8)).schedule == (5, 12, 8)   # 1 row left
         with pytest.raises(InvalidArgumentError):
             epsilon1_prime(_budget(), 0)
         with pytest.raises(BudgetExhaustedError):
-            epsilon1_prime(_budget(), 15, deleted_total=21000)
+            epsilon1_prime(_budget(), 16)   # past the last round
 
 
 class TestPerturbation:
@@ -366,8 +372,8 @@ def _engine_setup(rng, n=300, d=5, m=20, T=5, lam=0.05, perturbation="none",
     loss = loss or LossKind.logistic()
     data = make_dataset(rng, n, d, scale=0.6, norm_cap=1.0)
     model = train(data, lam, loss, b=b)
-    budget = CertBudget.for_loss(loss, epsilon=1.0, delta=1e-4, m=m, n=n,
-                                 T=T, lam=lam)
+    budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
+                        schedule=(m,) * T, n=n, lam=lam)
     engine = NewtonUnlearner(model, budget, perturbation=perturbation,
                              noise_rng=noise_rng, certify=certify)
     return data, model, budget, engine
@@ -410,7 +416,7 @@ class TestNewtonUnlearner:
             deleted, rest = _split(rest, 20)
             out = engine.delete(deleted, rest)
             assert out.t == t
-            assert engine.deleted_total == 20 * t
+            assert engine.t == t
             assert out.residual_norm == pytest.approx(
                 gradient_residual(out.w_internal, rest, engine.lam, engine.loss))
             assert math.isnan(out.threshold)   # certification off without noise
@@ -435,7 +441,7 @@ class TestNewtonUnlearner:
         short = remaining.drop([int(remaining.ids[0])])     # 279 rows, not 280
         with pytest.raises(InvalidArgumentError):
             engine.delete(deleted, short)
-        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert engine.t == 0
         assert np.array_equal(engine.w, model.w) and np.array_equal(engine.H, model.H)
         out = engine.delete(deleted, remaining)             # the next valid call runs
         _, _, _, fresh = _engine_setup(np.random.default_rng(1234))
@@ -450,7 +456,7 @@ class TestNewtonUnlearner:
         deleted, remaining = _split(data, 20)
         with pytest.raises(IllConditionedHessianError):
             engine.delete(deleted, remaining)
-        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert engine.t == 0
         assert np.array_equal(engine.w, weak.w) and np.array_equal(engine.H, weak.H)
 
     @pytest.mark.parametrize("bad", [7.0, -0.1, float("nan")])
@@ -461,7 +467,7 @@ class TestNewtonUnlearner:
         v[int(deleted.ids[0])] = bad
         with pytest.raises(InvalidArgumentError):
             engine.delete(deleted, remaining, v)
-        assert (engine.t, engine.deleted_total) == (0, 0)
+        assert engine.t == 0
         assert np.array_equal(engine.w, model.w) and np.array_equal(engine.H, model.H)
 
     def test_output_mode_requires_rng(self, rng):
@@ -477,7 +483,7 @@ class TestNewtonUnlearner:
         assert not np.array_equal(out.w_published, out.w_internal)
         assert out.certified
         assert out.threshold == pytest.approx(
-            threshold1(budget, 1, m_round=20, deleted_total=20))
+            threshold1(budget, 1))
 
     def test_output_noise_deterministic_and_fresh(self, rng):
         data, _, _, e1 = _engine_setup(rng, perturbation=PERTURB_OUTPUT, noise_rng=5)
@@ -497,7 +503,8 @@ class TestNewtonUnlearner:
         loss = LossKind.logistic()
         data = make_dataset(rng, 300, 5, scale=0.6, norm_cap=1.0)
         model = train(data, 0.05, loss)
-        budget = CertBudget.for_loss(loss, 1.0, 1e-4, 20, 300, 5, 0.05)
+        budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
+                            schedule=(20,) * 5, n=300, lam=0.05)
         engine = NewtonUnlearner(model, budget, perturbation=PERTURB_OUTPUT,
                                  noise_rng=1, check_every=2)
         d1, r1 = _split(data, 20)
@@ -515,7 +522,7 @@ class TestNewtonUnlearner:
         model = train(data, lam, loss)
         # microscopic C shrinks the threshold so the round cannot certify
         budget = CertBudget(epsilon=1.0, delta=1e-4, C=1e-10, beta=0.1,
-                            m=20, n=300, T=5, lam=lam)
+                            schedule=(20,) * 5, n=300, lam=lam)
         engine = NewtonUnlearner(model, budget, perturbation=PERTURB_OUTPUT,
                                  noise_rng=3)
         d1, r1 = _split(data, 20)
@@ -532,7 +539,8 @@ class TestNewtonUnlearner:
         loss = LossKind.logistic()
         data = make_dataset(rng, 300, 5, scale=0.6, norm_cap=1.0)
         lam = 0.05
-        budget = CertBudget.for_loss(loss, 1.0, 1e-4, 20, 300, 5, lam)
+        budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
+                            schedule=(20,) * 5, n=300, lam=lam)
         b = objective_perturb_setup(budget, 5, 11) * 1e-6
         model = train(data, lam, loss, b=b)
         engine = NewtonUnlearner(model, budget, perturbation=PERTURB_OBJECTIVE,
@@ -556,7 +564,7 @@ class TestBaselineUpdates:
         out = engine.delete(deleted, remaining)
         h1 = full_hessian(model.w, remaining, model.lam, model.loss)
         g = weighted_gradient(model.w, deleted, None, model.lam, model.loss)
-        w1 = dvwu_newton_step(model.w, h1, g, 300, 20, 1)
+        w1 = dvwu_newton_step(model.w, h1, g, 20, 280)
         assert_allclose(w1, out.w_internal, rtol=1e-9, atol=1e-12)
 
     def test_influence_engine_matches_single_shot(self, rng):
@@ -570,13 +578,18 @@ class TestBaselineUpdates:
         assert np.array_equal(w1, direct)
 
     def test_influence_improves_over_stale_parameters(self, rng):
-        data, model, budget, _ = _engine_setup(rng)
+        data, model, budget, _ = _engine_setup(rng, m=40)
         deleted, remaining = _split(data, 40)
         engine = InfluenceUnlearner(model, budget)
         w1 = engine.delete(deleted, remaining).w_internal
         w_retrain = train(remaining, model.lam, model.loss).w
         assert (np.linalg.norm(w1 - w_retrain)
                 < np.linalg.norm(model.w - w_retrain))
+
+    def test_influence_indefinite_hessian_raises_ill_conditioned(self, rng):
+        data, model, budget, _ = _engine_setup(rng)
+        with pytest.raises(IllConditionedHessianError):
+            InfluenceUnlearner(replace(model, H=-np.eye(model.w.size)), budget)
 
     def test_influence_budget_exhaustion(self, rng):
         data, model, budget, _ = _engine_setup(rng)
