@@ -17,8 +17,8 @@ from .errors import (BudgetExhaustedError, ConvergenceError, DataLoadError,
                      IllConditionedHessianError, InvalidArgumentError,
                      UnlearnError)
 from .losses import LossKind
-from .models import Metrics, ModelState, evaluate, full_gradient, full_hessian, \
-    loss_value, per_sample_gradient, per_sample_hessian, train
+from .models import (Metrics, ModelState, evaluate, full_gradient, full_hessian,
+                     loss_value, train)
 from .valuation import (KnnRankCache, ValuationMethod, ValueProfile, knn_sv,
                         loo_values, weights_from_values)
 from .unlearn import (AscentUnlearner, CertBudget, InfluenceUnlearner,
@@ -26,8 +26,8 @@ from .unlearn import (AscentUnlearner, CertBudget, InfluenceUnlearner,
                       Unlearner, certify_or_retrain, dvwu_newton_step,
                       epsilon1_prime, epsilon2_prime, gauss_constant,
                       gradient_residual, hessian_downdate,
-                      objective_perturb_setup, output_perturb, threshold0,
-                      threshold1, unlearn_gradient_ascent, weighted_gradient)
+                      objective_perturb_setup, output_perturb, threshold1,
+                      unlearn_gradient_ascent, weighted_gradient)
 from .data_io import (SynthConfig, gen_synthetic, load_csv, norm_bound, split,
                       standardize)
 from .harness import (ExperimentConfig, ExperimentReport, emit_report,
@@ -39,14 +39,14 @@ __all__ = [
     "IllConditionedHessianError", "InvalidArgumentError", "UnlearnError",
     "LossKind",
     "Metrics", "ModelState", "evaluate", "full_gradient", "full_hessian",
-    "loss_value", "per_sample_gradient", "per_sample_hessian", "train",
+    "loss_value", "train",
     "KnnRankCache", "ValuationMethod", "ValueProfile", "knn_sv", "loo_values",
     "weights_from_values",
     "AscentUnlearner", "CertBudget", "InfluenceUnlearner", "NewtonUnlearner",
     "RetrainUnlearner", "RoundOutcome", "Unlearner", "certify_or_retrain",
     "dvwu_newton_step", "epsilon1_prime", "epsilon2_prime", "gauss_constant",
     "gradient_residual", "hessian_downdate", "objective_perturb_setup",
-    "output_perturb", "threshold0", "threshold1", "unlearn_gradient_ascent",
+    "output_perturb", "threshold1", "unlearn_gradient_ascent",
     "weighted_gradient",
     "SynthConfig", "gen_synthetic", "load_csv", "norm_bound", "split",
     "standardize",

@@ -43,7 +43,7 @@ class Dataset:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (X.shape[0],):
             raise InvalidArgumentError(f"ids shape {ids.shape} does not match {X.shape[0]} rows")
-        if np.unique(ids).size != ids.size:
+        if (np.diff(np.sort(ids)) == 0).any():
             raise InvalidArgumentError("ids must be unique")
         for arr in (X, y, ids):
             arr.setflags(write=False)

@@ -164,13 +164,15 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         synth = raw.pop("synth", None)
-        if synth is not None and not isinstance(synth, SynthConfig):
-            synth = SynthConfig(**synth)
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
-        return cls(synth=synth, **raw)
+        try:
+            if synth is not None and not isinstance(synth, SynthConfig):
+                synth = SynthConfig(**synth)
+            return cls(synth=synth, **raw)
+        except TypeError as exc:    # an unknown synth key or a value of the wrong type
+            raise InvalidArgumentError(f"bad config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,6 @@ class ExperimentReport:
     @property
     def records(self) -> list[RoundRecord]:
         return [rec for rep in self.repetitions for rec in rep.records]
-
-    def aggregate(self) -> list[dict]:
-        return aggregate_rounds(self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +349,11 @@ def _sample_deletion(cfg: ExperimentConfig, rng: np.random.Generator,
     if profile is None:
         raise InvalidArgumentError(
             f"deletion strategy {cfg.deletion_strategy} needs a value profile")
-    # ties broken by ascending id for determinism
-    ranked = sorted(remaining.ids.tolist(), key=lambda i: (profile.q[int(i)], int(i)))
+    ids = remaining.ids
+    q = np.array([profile.q[i] for i in ids.tolist()])
+    ranked = ids[np.lexsort((ids, q))]     # ties broken by ascending id
     chosen = ranked[-m_t:] if cfg.deletion_strategy == DELETE_HIGH_VALUE else ranked[:m_t]
-    return np.array(sorted(chosen), dtype=np.int64)
+    return np.sort(chosen)
 
 
 def _make_unlearner(cfg: ExperimentConfig, model: ModelState, budget: CertBudget,
@@ -445,7 +445,7 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, str]:
                               "retrained", "accuracy", "precision", "recall", "cost",
                               "elapsed_ms")])
 
-    write_aggregate_csv(report.aggregate(), paths["aggregate.csv"])
+    write_aggregate_csv(aggregate_rounds(report.records), paths["aggregate.csv"])
 
     phase_samples: dict[str, list[float]] = {}
     for rec in report.records:
@@ -529,7 +529,10 @@ def load_experiment_config(path) -> ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
-        return ExperimentConfig.from_dict(raw.get("config", raw))
+        try:
+            return ExperimentConfig.from_dict(raw.get("config", raw))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from None
     return parse_experiment_config(text, source=str(path))
 
 
@@ -543,29 +546,31 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
         if "=" not in line:
             raise InvalidArgumentError(f"{source}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("synth."):
-            field_name = key[len("synth."):]
-            synth[field_name] = (int(value) if field_name in _SYNTH_INT_FIELDS
-                                 else float(value))
-        elif key == "deletions_per_round":
-            parts = [int(v) for v in value.split(",") if v.strip()]
-            raw[key] = parts[0] if len(parts) == 1 else parts
-        elif key in _BOOL_FIELDS:
-            if value.lower() not in ("true", "false"):
-                raise InvalidArgumentError(
-                    f"{source}: line {lineno}: {key} must be true or false")
-            raw[key] = value.lower() == "true"
-        elif key in _INT_FIELDS:
-            raw[key] = int(value)
-        elif key in _STR_FIELDS:
-            raw[key] = value
-        elif key in ExperimentConfig.__dataclass_fields__:
-            raw[key] = float(value)
-        else:
+        in_synth = key.startswith("synth.")
+        name = key[len("synth."):] if in_synth else key
+        if name not in (SynthConfig if in_synth else ExperimentConfig).__dataclass_fields__:
             raise InvalidArgumentError(f"{source}: line {lineno}: unknown key {key!r}")
-    if synth:
-        raw["synth"] = SynthConfig(**synth)
+        if key in _BOOL_FIELDS and value.lower() not in ("true", "false"):
+            raise InvalidArgumentError(f"{source}: line {lineno}: {key} must be true or false")
+        try:
+            if in_synth:
+                synth[name] = int(value) if name in _SYNTH_INT_FIELDS else float(value)
+            elif key == "deletions_per_round":
+                parts = [int(v) for v in value.split(",") if v.strip()]
+                raw[key] = parts[0] if len(parts) == 1 else parts
+            elif key in _BOOL_FIELDS:
+                raw[key] = value.lower() == "true"
+            elif key in _INT_FIELDS:
+                raw[key] = int(value)
+            elif key in _STR_FIELDS:
+                raw[key] = value
+            else:
+                raw[key] = float(value)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{source}: line {lineno}: {key}: {exc}") from None
     try:
+        if synth:
+            raw["synth"] = SynthConfig(**synth)
         return ExperimentConfig(**raw)
     except TypeError as exc:
         raise InvalidArgumentError(f"{source}: {exc}") from exc

@@ -17,7 +17,7 @@ import scipy.optimize
 
 from . import losses
 from .dataset import Dataset
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, IllConditionedHessianError, InvalidArgumentError
 from .losses import LossKind
 
 log = logging.getLogger(__name__)
@@ -77,20 +77,6 @@ def full_gradient(w: np.ndarray, data: Dataset, lam: float, loss: LossKind,
     return g
 
 
-def per_sample_gradient(w: np.ndarray, x: np.ndarray, y: float, loss: LossKind) -> np.ndarray:
-    """Gradient of the unregularized per-sample loss at one point."""
-    a = losses.gradient_coefficients(loss, w, np.asarray(x, dtype=np.float64)[None, :],
-                                     np.asarray([y], dtype=np.float64))
-    return a[0] * np.asarray(x, dtype=np.float64)
-
-
-def per_sample_hessian(w: np.ndarray, x: np.ndarray, y: float, loss: LossKind) -> np.ndarray:
-    """Hessian of the unregularized per-sample loss at one point."""
-    x = np.asarray(x, dtype=np.float64)
-    c = losses.curvature_coefficients(loss, w, x[None, :], np.asarray([y], dtype=np.float64))
-    return c[0] * np.outer(x, x)
-
-
 def full_hessian(w: np.ndarray, data: Dataset, lam: float, loss: LossKind) -> np.ndarray:
     """Hessian of L(w; data); exactly symmetric and positive definite for lam > 0."""
     _check_objective_args(data, lam)
@@ -100,12 +86,22 @@ def full_hessian(w: np.ndarray, data: Dataset, lam: float, loss: LossKind) -> np
     return H
 
 
+def cholesky_factor(H: np.ndarray):
+    """scipy's Cholesky factor of H; a matrix that is not positive definite
+    (or not finite) raises IllConditionedHessianError."""
+    try:
+        return scipy.linalg.cho_factor(H)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise IllConditionedHessianError(f"Hessian not positive definite enough: {exc}") from exc
+
+
 def train(data: Dataset, lam: float, loss: LossKind, b: np.ndarray | None = None,
           tol: float = 1e-8, max_iter: int = 1000) -> ModelState:
     """Minimize L(w; data) (+ b^T w) to gradient two-norm <= tol.
 
     Deterministic for identical inputs.  Raises ConvergenceError, carrying the
-    final residual, if the tolerance cannot be met within the iteration caps.
+    final residual, if the tolerance cannot be met within the iteration caps,
+    and IllConditionedHessianError if a polish step's Hessian does not factor.
     """
     _check_objective_args(data, lam)
     if not tol > 0:
@@ -134,7 +130,7 @@ def train(data: Dataset, lam: float, loss: LossKind, b: np.ndarray | None = None
         if residual <= tol:
             break
         H = full_hessian(w, data, lam, loss)
-        step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), grad)
+        step = scipy.linalg.cho_solve(cholesky_factor(H), grad)
         scale = 1.0
         while scale > 1e-12:
             w_try = w - scale * step

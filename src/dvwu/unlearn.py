@@ -14,8 +14,9 @@ parameters by a single Newton step built from three pieces:
   * the step itself,  w_t = w_{t-1} + m_t / n_t * solve(H_t, g_v).
 
 Certification compares the gradient residual on the remaining data against a
-closed-form threshold; when it fails, the engine falls back to exact
-retraining and signals the caller to rebuild its value profile.  Indistin-
+closed-form threshold; when it fails, or the downdated Hessian has lost its
+lam/2 floor, the engine retrains exactly and signals the caller to rebuild
+its value profile.  Indistin-
 guishability from retraining comes from Gaussian noise, either added to the
 published parameters each round (output perturbation) or folded into the
 training objective once as a linear term (objective perturbation).
@@ -43,7 +44,7 @@ from .dataset import Dataset
 from .errors import (BudgetExhaustedError, IllConditionedHessianError,
                      InvalidArgumentError)
 from .losses import LossKind, curvature_coefficients, gradient_coefficients
-from .models import ModelState, full_gradient, full_hessian, train
+from .models import ModelState, cholesky_factor, full_gradient, full_hessian, train
 
 log = logging.getLogger(__name__)
 
@@ -138,14 +139,6 @@ def epsilon2_prime(budget: CertBudget) -> float:
             + 4.0 * budget.C * s_T / rem)
 
 
-def threshold0(budget: CertBudget, t: int) -> float:
-    """Certification threshold when every deleted sample has weight zero:
-    the update is skipped, so the residual bound tightens to 2 C s_t / (n - s_t).
-    """
-    _, s_t = budget.counts(t)
-    return 2.0 * budget.C * s_t / (budget.n - s_t)
-
-
 def threshold1(budget: CertBudget, t: int) -> float:
     """General output-perturbation certification threshold, lam * eps1'(t)."""
     return budget.lam * epsilon1_prime(budget, t)
@@ -232,13 +225,6 @@ def hessian_downdate(H_prev: np.ndarray, w_prev: np.ndarray, deleted: Dataset,
     return 0.5 * (H + H.T)
 
 
-def _cholesky(H: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(H)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise IllConditionedHessianError(f"Hessian not positive definite enough: {exc}") from exc
-
-
 def dvwu_newton_step(w_prev: np.ndarray, H_t: np.ndarray, grad_v: np.ndarray,
                      m: int, n_after: int, *,
                      min_eig_floor: float | None = None) -> np.ndarray:
@@ -252,8 +238,8 @@ def dvwu_newton_step(w_prev: np.ndarray, H_t: np.ndarray, grad_v: np.ndarray,
     if n_after < 1:
         raise BudgetExhaustedError(f"the round would leave {n_after} samples")
     if min_eig_floor is not None:
-        _cholesky(H_t - min_eig_floor * np.eye(H_t.shape[0]))
-    return w_prev + (m / n_after) * scipy.linalg.cho_solve(_cholesky(H_t), grad_v)
+        cholesky_factor(H_t - min_eig_floor * np.eye(H_t.shape[0]))
+    return w_prev + (m / n_after) * scipy.linalg.cho_solve(cholesky_factor(H_t), grad_v)
 
 
 def gradient_residual(w: np.ndarray, data: Dataset, lam: float, loss: LossKind,
@@ -316,14 +302,13 @@ class Unlearner:
     and the value profile.
     """
 
-    publishes = True    # draws output noise under output perturbation
+    certifies = True    # under a perturbation: draws output noise, checks a threshold
     fallback = False    # retrains exactly when the residual is above the threshold
 
     def __init__(self, model: ModelState, budget: CertBudget, *,
                  perturbation: str = PERTURB_NONE,
                  noise_rng: int | np.random.Generator | None = None,
-                 train_tol: float = 1e-8, check_every: int = 1,
-                 certify: bool | None = None):
+                 train_tol: float = 1e-8, check_every: int = 1):
         if perturbation not in _PERTURBATIONS:
             raise InvalidArgumentError(f"unknown perturbation mode {perturbation!r}")
         if perturbation == PERTURB_OBJECTIVE and model.b is None:
@@ -341,7 +326,7 @@ class Unlearner:
         self.perturbation = perturbation
         self.train_tol = train_tol
         self.check_every = check_every
-        self.certify = (perturbation != PERTURB_NONE) if certify is None else certify
+        self.certify = self.certifies and perturbation != PERTURB_NONE
         self.w = np.array(model.w)
         self.t = 0
         self.noise_rng = (np.random.default_rng(noise_rng)
@@ -358,7 +343,7 @@ class Unlearner:
         if deleted.n != m_t:
             raise InvalidArgumentError(
                 f"round {self.t + 1} deletes {m_t} rows by the schedule, got {deleted.n}")
-        if np.intersect1d(deleted.ids, remaining.ids).size:
+        if np.isin(deleted.ids, remaining.ids).any():
             raise InvalidArgumentError("deleted and remaining datasets overlap")
         if remaining.n != self.budget.n - s_t:
             raise InvalidArgumentError(
@@ -371,7 +356,7 @@ class Unlearner:
         threshold certifies a round."""
         t = self.t + 1
         w_pub = None
-        if self.publishes and self.perturbation == PERTURB_OUTPUT:
+        if self.certify and self.perturbation == PERTURB_OUTPUT:
             tic = time.perf_counter()
             w_pub = output_perturb(w_t, self.budget, t, self.noise_rng)
             elapsed["noise"] = time.perf_counter() - tic
@@ -421,7 +406,8 @@ class NewtonUnlearner(Unlearner):
 
     def delete(self, deleted: Dataset, remaining: Dataset,
                weights: Mapping[int, float] | None = None) -> RoundOutcome:
-        """Run one deletion round.  weights=None means all ones."""
+        """Run one deletion round.  weights=None means all ones.  A downdated
+        Hessian below the lam/2 floor makes the round retrain exactly."""
         self._validate(deleted, remaining)
         elapsed: dict[str, float] = {}
         tic = time.perf_counter()
@@ -433,8 +419,19 @@ class NewtonUnlearner(Unlearner):
         elapsed["hessian"] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        w_t = dvwu_newton_step(self.w, H, g_v, deleted.n, remaining.n,
-                               min_eig_floor=self.lam / 2.0)
+        try:
+            w_t = dvwu_newton_step(self.w, H, g_v, deleted.n, remaining.n,
+                                   min_eig_floor=self.lam / 2.0)
+        except IllConditionedHessianError as exc:
+            elapsed["solve"] = time.perf_counter() - tic
+            log.info("round %d: %s; retrained", self.t + 1, exc)
+            tic = time.perf_counter()
+            model = train(remaining, self.lam, self.loss, b=self.b, tol=self.train_tol)
+            elapsed["certify"] = time.perf_counter() - tic
+            self.H = model.H
+            return self._commit(RoundOutcome(
+                self.t + 1, model.w, None, residual_norm=float("nan"), threshold=float("nan"),
+                certified=False, retrained=True, elapsed=elapsed))
         elapsed["solve"] = time.perf_counter() - tic
 
         outcome = self._finish(w_t, remaining, elapsed)
@@ -457,7 +454,7 @@ class InfluenceUnlearner(Unlearner):
 
     def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
         super().__init__(model, budget, **kwargs)
-        self.factor = _cholesky(model.H)
+        self.factor = cholesky_factor(model.H)
 
     def delete(self, deleted: Dataset, remaining: Dataset,
                weights: Mapping[int, float] | None = None) -> RoundOutcome:
@@ -475,11 +472,11 @@ class AscentUnlearner(Unlearner):
     is certified; the residual is still recorded on checked rounds.
     """
 
-    publishes = False
+    certifies = False
 
     def __init__(self, model: ModelState, budget: CertBudget, *, eta: float = 0.01,
                  steps: int = 5, **kwargs):
-        super().__init__(model, budget, certify=False, **kwargs)
+        super().__init__(model, budget, **kwargs)
         self.eta = eta
         self.steps = steps
 
@@ -501,10 +498,10 @@ class RetrainUnlearner(Unlearner):
     residual is still recorded on checked rounds.  Weights are ignored.
     """
 
-    publishes = False
+    certifies = False
 
     def __init__(self, model: ModelState, budget: CertBudget, **kwargs):
-        super().__init__(model, budget, certify=False, **kwargs)
+        super().__init__(model, budget, **kwargs)
         self.b = None
 
     def delete(self, deleted: Dataset, remaining: Dataset,

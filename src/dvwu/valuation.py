@@ -9,14 +9,15 @@ Values q map to deletion weights v: harmful samples (q < 0) keep weight 1,
 worthless samples (q = 0) get weight 0, and valuable samples (q > 0) get
 alpha * q_min_plus / q clamped to [0, 1], where q_min_plus is the smallest
 positive value of the initial round and stays fixed for the whole deletion
-sequence.
+sequence.  A ValueProfile keeps only the values and the anchor; a weight is
+a function of the two, so it is mapped when its batch is deleted.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,19 +56,16 @@ class ValuationMethod:
 
 @dataclass(frozen=True)
 class ValueProfile:
-    """Values q and weights v per sample id, with the frozen q_min_plus anchor."""
+    """Values q per sample id, with the frozen q_min_plus anchor.  Building
+    one checks the weight map's parameters, so a bad alpha fails early."""
 
     q: dict[int, float]
     q_min_plus: float
     alpha: float = DEFAULT_ALPHA
     zero_tol: float = DEFAULT_ZERO_TOL
-    v: dict[int, float] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.v is None:
-            object.__setattr__(
-                self, "v",
-                weights_from_values(self.q, self.q_min_plus, self.alpha, self.zero_tol))
+        weights_from_values({}, self.q_min_plus, self.alpha, self.zero_tol)  # checks only
 
     @classmethod
     def from_initial_values(cls, q: dict[int, float], alpha: float = DEFAULT_ALPHA,
@@ -78,12 +76,11 @@ class ValueProfile:
         value is positive the anchor is left as NaN, which is fine as long as
         no later round produces a positive value.
         """
-        positives = [x for x in q.values() if x > zero_tol]
-        anchor = min(positives) if positives else float("nan")
-        return cls(q=dict(q), q_min_plus=anchor, alpha=alpha, zero_tol=zero_tol)
+        return cls(q={}, q_min_plus=float("nan"), alpha=alpha,
+                   zero_tol=zero_tol).with_values(q)
 
     def with_values(self, q: dict[int, float]) -> "ValueProfile":
-        """Same anchor and parameters, new values (weights recomputed).
+        """Same anchor and parameters, new values.
 
         A still-undefined anchor is set from the first batch of values that
         contains a positive one; after that it never moves.
@@ -91,25 +88,25 @@ class ValueProfile:
         anchor = self.q_min_plus
         if np.isnan(anchor):
             positives = [x for x in q.values() if x > self.zero_tol]
-            if positives:
-                anchor = min(positives)
-        return replace(self, q=dict(q), q_min_plus=anchor, v=None)
+            anchor = min(positives) if positives else anchor
+        return replace(self, q=dict(q), q_min_plus=anchor)
 
     def restrict(self, ids) -> "ValueProfile":
         """Drop entries for ids that are gone; used by static mode after a deletion.
 
-        Values and the anchor do not change, so the kept weights are the ones
-        the map already gave.  Ids the profile does not hold are ignored.
+        Values and the anchor do not change.  Ids the profile does not hold
+        are ignored.
         """
         keep = set(np.asarray(ids, dtype=np.int64).ravel().tolist())
-        return replace(self, q={i: x for i, x in self.q.items() if i in keep},
-                       v={i: x for i, x in self.v.items() if i in keep})
+        return replace(self, q={i: x for i, x in self.q.items() if i in keep})
 
     def weights_for(self, ids) -> dict[int, float]:
+        """Deletion weights of the given ids, by weights_from_values."""
         try:
-            return {int(i): self.v[int(i)] for i in np.asarray(ids).ravel()}
+            q = {int(i): self.q[int(i)] for i in np.asarray(ids).ravel()}
         except KeyError as exc:
             raise InvalidArgumentError(f"no weight for id {exc.args[0]}") from None
+        return weights_from_values(q, self.q_min_plus, self.alpha, self.zero_tol)
 
 
 def weights_from_values(q, q_min_plus: float, alpha: float = DEFAULT_ALPHA,
@@ -318,11 +315,12 @@ def compute_values(method: ValuationMethod, data: Dataset, reference: Dataset,
 
 def save_values_csv(path, profile: ValueProfile) -> None:
     """Write one row per sample: id, value q, weight v."""
+    v = weights_from_values(profile.q, profile.q_min_plus, profile.alpha, profile.zero_tol)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "q", "v"])
         for i in sorted(profile.q):
-            writer.writerow([i, repr(profile.q[i]), repr(profile.v[i])])
+            writer.writerow([i, repr(profile.q[i]), repr(v[i])])
 
 
 def load_values_csv(path, alpha: float = DEFAULT_ALPHA,

@@ -85,7 +85,7 @@ def test_criterion_01_quadratic_newton_equals_retraining():
         model = train(data, lam, loss, tol=1e-12)
         budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
                             schedule=(m,), n=n, lam=lam)
-        engine = NewtonUnlearner(model, budget, certify=False)
+        engine = NewtonUnlearner(model, budget)
         ids = rng.choice(data.ids, size=m, replace=False)
         outcome = engine.delete(data.select(ids), data.drop(ids))
 
@@ -202,7 +202,7 @@ def test_criterion_05_parameter_and_gradient_bounds_hold():
             model = train(train_set, lam, loss)
             profile = ValueProfile.from_initial_values(
                 knn_sv(train_set, test_set, k=k))
-            engine = NewtonUnlearner(model, budget, certify=False)
+            engine = NewtonUnlearner(model, budget)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
 
             remaining = train_set
@@ -309,7 +309,7 @@ def test_criterion_09_weighting_function_branches():
         model = train(data, 0.05, loss)
         budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
                             schedule=(10,), n=60, lam=0.05)
-        engine = NewtonUnlearner(model, budget, certify=False)
+        engine = NewtonUnlearner(model, budget)
         w0, H0 = np.array(engine.w), np.array(engine.H)
         ids = data.ids[:10]
         deleted, remaining = data.select(ids), data.drop(ids)

@@ -1,8 +1,9 @@
 """The names the deletion benchmark hooks must keep resolving.
 
 deletion_bench/probe.py wraps package functions and methods by name from
-outside the package, and deletion_bench/layers.py maps engine phases to the
-traced spans.  A refactor that renames one of them would otherwise break only
+outside the package, deletion_bench/layers.py maps engine phases to the
+traced spans, and deletion_bench/checks.py reads value profiles and weights
+by id.  A refactor that renames one of them would otherwise break only
 the benchmark run.  The benchmark files are loaded here, never edited.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 import dvwu
 import dvwu.cli  # noqa: F401  (the probe wraps cli.emit_report)
-from dvwu import CertBudget, LossKind, NewtonUnlearner, train
+from dvwu import CertBudget, LossKind, NewtonUnlearner, ValueProfile, train
 from dvwu.harness import _sample_deletion
 
 from conftest import make_dataset
@@ -47,6 +48,11 @@ def probe():
 @pytest.fixture(scope="module")
 def layers():
     return _load("layers")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def _resolve(owner, name, method):
@@ -115,3 +121,19 @@ def test_newton_round_records_the_benchmark_phases(layers, rng):
     out = engine.delete(data.select(gone), data.drop(gone))
     assert set(out.elapsed) == set(layers.PHASES)
     assert np.isfinite(out.residual_norm)
+
+
+def test_profile_reads_of_the_probe_and_checks(checks):
+    q = {7: -0.3, 3: 0.0, 11: 0.02, 5: 0.4, 2: 0.3, 8: 5e-10}
+    profile = ValueProfile.from_initial_values(q, alpha=0.5, zero_tol=1e-9)
+    assert profile.q_min_plus == checks.round1_anchor(q, 1e-9)
+    surviving = np.array([11, 2, 5, 7, 8], dtype=np.int64)
+    kept = profile.restrict(surviving)
+    assert set(kept.q) == set(surviving.tolist())
+    # probe.Probe._weights_for reads the values of a batch as profile.q[int(i)]
+    assert [kept.q[int(i)] for i in surviving] == [q[int(i)] for i in surviving]
+    # checks.check_weights reads the engine's weights as weights.get(id)
+    weights = kept.weights_for(surviving)
+    for i in surviving:
+        want = checks.expected_weight(q[int(i)], kept.q_min_plus, 0.5, 1e-9)
+        assert weights.get(int(i)).hex() == want.hex()

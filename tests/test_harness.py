@@ -308,6 +308,21 @@ class TestSampleDeletion:
                                self._remaining(rng), self._profile(), 3)
         assert sorted(ids.tolist()) == [0, 1, 2]
 
+    # rows rank by (value, id) ascending; low-value-first takes the front of
+    # that order and high-value-first its back, so a tie at the cut gives the
+    # smallest ids to the one and the largest to the other
+    @pytest.mark.parametrize("strategy,want", [(DELETE_HIGH_VALUE, [6, 7]),
+                                               (DELETE_LOW_VALUE, [2, 5])])
+    def test_equal_values_ranked_by_ascending_id(self, rng, strategy, want):
+        profile = ValueProfile.from_initial_values(
+            {i: (0.5 if i in (4, 6, 7) else -0.5 if i in (2, 5, 8) else 0.1)
+             for i in range(10)})
+        remaining = Dataset(features=rng.normal(size=(10, 2)), labels=np.ones(10),
+                            ids=np.array([7, 3, 9, 5, 1, 2, 8, 0, 6, 4]))
+        ids = _sample_deletion(tiny_config(deletion_strategy=strategy),
+                               np.random.default_rng(0), remaining, profile, 2)
+        assert ids.tolist() == want
+
     def test_value_strategy_needs_profile(self, rng):
         cfg = tiny_config(deletion_strategy=DELETE_HIGH_VALUE)
         with pytest.raises(InvalidArgumentError):
@@ -576,6 +591,28 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key", [("synth.n = 1e3", "synth.n"),
+                                          ("rounds = two", "rounds"),
+                                          ("lam = abc", "lam")])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"method = newton\nsynth.d_informative = 3\n{line}\n")
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cfg}: line 3: {key}:" in err
+
+    def test_manifest_unknown_synth_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps({"config": {
+            "method": "newton", "synth": {"n": 200, "d_informative": 3, "warp": 9}}}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(cfg) in err and "warp" in err
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as err:

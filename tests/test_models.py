@@ -14,9 +14,8 @@ from dvwu.models import (
     full_gradient,
     full_hessian,
     loss_value,
-    per_sample_gradient,
-    per_sample_hessian,
 )
+from dvwu.losses import curvature_coefficients, gradient_coefficients
 
 import oracles
 from conftest import make_dataset
@@ -68,12 +67,11 @@ class TestObjectiveAssembly:
         for i in range(5):
             _, g, h = oracles._per_sample_terms(w, data.features[i],
                                                 data.labels[i], "logistic", 2.0)
-            assert_allclose(per_sample_gradient(w, data.features[i],
-                                                data.labels[i], loss), g,
+            x, y = data.features[i:i + 1], data.labels[i:i + 1]
+            assert_allclose(gradient_coefficients(loss, w, x, y)[0] * x[0], g,
                             rtol=1e-12)
-            assert_allclose(per_sample_hessian(w, data.features[i],
-                                               data.labels[i], loss), h,
-                            rtol=1e-12)
+            assert_allclose(curvature_coefficients(loss, w, x, y)[0] * np.outer(x[0], x[0]),
+                            h, rtol=1e-12)
 
     def test_invalid_regularization(self, small_data):
         with pytest.raises(InvalidArgumentError):

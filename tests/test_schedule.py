@@ -31,10 +31,8 @@ def _config(source, tmp_path, **kw):
 
 def test_schedule_leaving_one_row_runs():
     # 5 + 12 + 8 = 25 of 26 training rows; a budget of 3 * ceil(25 / 3) = 27
-    # deletions would call this infeasible.  At lam = 1e-3 the running
-    # Hessian of the last round (9 rows downdated to 1) can lose positive
-    # definiteness and fail the repetition with IllConditionedHessianError;
-    # that is a separate limit of the downdate, so this test uses lam = 0.1.
+    # deletions would call this infeasible.  At lam = 0.1 every round keeps
+    # the Hessian floor (see the next test for lam = 1e-3).
     cfg = ExperimentConfig(method="newton", perturbation="output", rounds=3, lam=0.1,
                            deletions_per_round=[5, 12, 8], repetitions=1,
                            synth=SynthConfig(n=37, d_informative=3, seed=5))
@@ -43,6 +41,22 @@ def test_schedule_leaving_one_row_runs():
     assert rep.error is None
     assert [rec.t for rec in rep.records] == [1, 2, 3]
     assert rep.budget.n == 26 and rep.budget.schedule == (5, 12, 8)
+
+
+def test_lost_hessian_floor_falls_back_to_retraining():
+    # At lam = 1e-3 the last round downdates 9 rows to 1, and the running
+    # Hessian can drop below the lam/2 floor; such a round retrains exactly
+    # instead of failing the repetition.
+    reps = []
+    for seed in (0, 5, 21):
+        cfg = ExperimentConfig(method="newton", perturbation="output", rounds=3, lam=1e-3,
+                               deletions_per_round=[5, 12, 8], repetitions=3, base_seed=seed,
+                               synth=SynthConfig(n=37, d_informative=3, seed=seed))
+        reps += run_continuous_deletion(cfg).repetitions
+    assert [rep.error for rep in reps] == [None] * 9
+    assert all(len(rep.records) == 3 for rep in reps)
+    retrained = [rec for rep in reps for rec in rep.records if rec.retrained]
+    assert retrained and not any(rec.certified for rec in retrained)
 
 
 @pytest.mark.parametrize("source", ["synth", "manifest"])

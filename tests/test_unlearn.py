@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from dvwu import (
     BudgetExhaustedError,
     CertBudget,
+    ConvergenceError,
     Dataset,
     IllConditionedHessianError,
     InfluenceUnlearner,
@@ -24,7 +25,6 @@ from dvwu import (
     hessian_downdate,
     objective_perturb_setup,
     output_perturb,
-    threshold0,
     threshold1,
     train,
     unlearn_gradient_ascent,
@@ -240,22 +240,11 @@ class TestBoundsAndThresholds:
             assert_allclose(epsilon2_prime(b), lam * epsilon1_prime(b, len(b.schedule)),
                             rtol=1e-12)
 
-    def test_threshold0_reference_values(self):
-        b = _budget()
-        assert threshold0(b, 1) == 0.1
-        assert threshold0(b, 15) == 5.0
-
     def test_threshold1_is_scaled_epsilon1(self):
         b = _budget()
         for t in (1, 7, 15):
             assert_allclose(threshold1(b, t), b.lam * epsilon1_prime(b, t),
                             rtol=1e-15)
-
-    def test_zero_weight_threshold_is_tighter(self):
-        for lam in (1e-3, 0.1):
-            b = _budget(lam=lam)
-            for t in range(1, 16):
-                assert threshold0(b, t) < threshold1(b, t)
 
     def test_nonuniform_schedule_uses_running_totals(self):
         b = _budget(schedule=(500, 1500) + (1000,) * 12 + (999,))
@@ -264,7 +253,6 @@ class TestBoundsAndThresholds:
         want = (4.0 * b.beta * b.C ** 2 * 1500 * s / (b.lam ** 3 * rem ** 2)
                 + 4.0 * b.C * s / (b.lam * rem))
         assert_allclose(epsilon1_prime(b, 2), want, rtol=1e-15)
-        assert threshold0(b, 2) == 2.0 * b.C * s / rem
 
     def test_epsilon2_on_nonuniform_schedule(self):
         b = _budget(schedule=(500, 1500) + (1000,) * 12 + (999,))
@@ -368,14 +356,14 @@ class TestCertifyOrRetrain:
 
 
 def _engine_setup(rng, n=300, d=5, m=20, T=5, lam=0.05, perturbation="none",
-                  noise_rng=None, loss=None, certify=None, b=None):
+                  noise_rng=None, loss=None, b=None):
     loss = loss or LossKind.logistic()
     data = make_dataset(rng, n, d, scale=0.6, norm_cap=1.0)
     model = train(data, lam, loss, b=b)
     budget = CertBudget(epsilon=1.0, delta=1e-4, C=loss.C, beta=loss.beta,
                         schedule=(m,) * T, n=n, lam=lam)
     engine = NewtonUnlearner(model, budget, perturbation=perturbation,
-                             noise_rng=noise_rng, certify=certify)
+                             noise_rng=noise_rng)
     return data, model, budget, engine
 
 
@@ -448,13 +436,33 @@ class TestNewtonUnlearner:
         assert out.t == 1
         assert np.array_equal(out.w_internal, fresh.delete(deleted, remaining).w_internal)
 
-    def test_ill_conditioned_round_leaves_engine_unchanged(self, rng):
+    def _weak_engine(self, rng, **kwargs):
         data, model, budget, _ = _engine_setup(rng)
         # a running Hessian at the floor cannot survive a downdate
         weak = replace(model, H=0.5 * model.lam * np.eye(model.w.size))
-        engine = NewtonUnlearner(weak, budget)
+        return data, weak, NewtonUnlearner(weak, budget, **kwargs)
+
+    def test_ill_conditioned_round_falls_back_to_retraining(self, rng):
+        data, weak, engine = self._weak_engine(rng, perturbation=PERTURB_OUTPUT,
+                                               noise_rng=3)
         deleted, remaining = _split(data, 20)
-        with pytest.raises(IllConditionedHessianError):
+        out = engine.delete(deleted, remaining)
+        assert out.retrained and not out.certified and out.w_published is None
+        assert math.isnan(out.residual_norm) and math.isnan(out.threshold)
+        exact = train(remaining, weak.lam, weak.loss)
+        assert engine.t == 1
+        assert np.array_equal(engine.w, exact.w) and np.array_equal(out.w_internal, exact.w)
+        assert np.array_equal(engine.H, full_hessian(exact.w, remaining, weak.lam, weak.loss))
+
+    def test_ill_conditioned_round_leaves_engine_unchanged(self, rng, monkeypatch):
+        # the round falls back to retraining, and that retraining fails
+        data, weak, engine = self._weak_engine(rng)
+        deleted, remaining = _split(data, 20)
+
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("no convergence", residual=1.0)
+        monkeypatch.setattr("dvwu.unlearn.train", no_convergence)
+        with pytest.raises(ConvergenceError):
             engine.delete(deleted, remaining)
         assert engine.t == 0
         assert np.array_equal(engine.w, weak.w) and np.array_equal(engine.H, weak.H)

@@ -211,18 +211,18 @@ class TestValueProfile:
     def test_anchor_is_smallest_positive(self):
         p = ValueProfile.from_initial_values({1: -0.5, 2: 0.0, 3: 0.3, 4: 0.07})
         assert p.q_min_plus == 0.07
-        assert_allclose(p.v[3], 0.5 * 0.07 / 0.3)
+        assert_allclose(p.weights_for([3])[3], 0.5 * 0.07 / 0.3)
 
     def test_anchor_never_moves(self):
         p = ValueProfile.from_initial_values({1: 0.2, 2: 0.5})
         p2 = p.with_values({1: 0.05, 2: 0.5})
         assert p2.q_min_plus == 0.2
-        assert p2.v[1] == 1.0               # 0.5*0.2/0.05 = 2, clamped
+        assert p2.weights_for([1])[1] == 1.0    # 0.5*0.2/0.05 = 2, clamped
 
     def test_lazy_anchor(self):
         p = ValueProfile.from_initial_values({1: -0.1, 2: 0.0})
         assert math.isnan(p.q_min_plus)
-        assert p.v == {1: 1.0, 2: 0.0}
+        assert p.weights_for([1, 2]) == {1: 1.0, 2: 0.0}
         p2 = p.with_values({1: 0.4, 2: 0.9})
         assert p2.q_min_plus == 0.4
         p3 = p2.with_values({1: 0.1})
@@ -233,9 +233,15 @@ class TestValueProfile:
         p2 = p.restrict([1, 3, 99])             # ids it does not hold are ignored
         assert set(p2.q) == {1, 3}
         assert p2.q_min_plus == 0.1
-        # the kept weights equal a fresh mapping of the kept values, bitwise
-        assert p2.v == weights_from_values(p2.q, p2.q_min_plus, p2.alpha, p2.zero_tol)
-        assert list(p2.v) == list(p2.q)
+        # the kept ids keep their weights, bitwise
+        assert p2.weights_for([1, 3]) == p.weights_for([1, 3]) == {1: 0.5, 3: 1.0}
+        assert list(p2.q) == [1, 3]
+
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1.5}, {"alpha": 0.0},
+                                        {"zero_tol": -1.0}])
+    def test_bad_map_parameters_fail_at_build(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            ValueProfile.from_initial_values({1: 0.1, 2: -0.2}, **kwargs)
 
     def test_weights_for_missing_id(self):
         p = ValueProfile.from_initial_values({1: 0.1})
@@ -407,7 +413,7 @@ class TestValuesCsv:
         save_values_csv(path, p)
         p2 = load_values_csv(path)
         assert p2.q == p.q
-        assert p2.v == p.v
+        assert p2.weights_for(list(p2.q)) == p.weights_for(list(p.q))
         assert p2.q_min_plus == p.q_min_plus
 
     def test_missing_columns(self, tmp_path):
