@@ -164,14 +164,20 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         synth = raw.pop("synth", None)
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
+        raw = {key: _json_value(key, value, optional=fields[key].default is None)
+               for key, value in raw.items()}
         try:
-            if synth is not None and not isinstance(synth, SynthConfig):
-                synth = SynthConfig(**synth)
+            if isinstance(synth, dict):
+                synth = SynthConfig(**{name: _json_value(f"synth.{name}", value, optional=False)
+                                       for name, value in synth.items()})
+            elif synth is not None and not isinstance(synth, SynthConfig):
+                raise InvalidArgumentError(f"synth must be an object, got {synth!r}")
             return cls(synth=synth, **raw)
-        except TypeError as exc:    # an unknown synth key or a value of the wrong type
+        except TypeError as exc:    # an unknown or missing synth key
             raise InvalidArgumentError(f"bad config: {exc}") from None
 
 
@@ -202,6 +208,8 @@ class RepetitionResult:
     initial_metrics: Metrics | None = None
     error: str | None = None
     budget: CertBudget | None = None    # set once the repetition built it
+    # wall seconds of the set-up parts that ran: prepare, train, valuation
+    setup_s: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -286,7 +294,9 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
     delete_rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
 
+    tic = time.perf_counter()
     parts = _prepare_data(cfg, data_seed)
+    result.setup_s["prepare"] = time.perf_counter() - tic
     train_set, test_set = parts.train, parts.test
     loss = cfg.loss_kind()
     budget = result.budget = _make_budget(cfg, n=train_set.n)
@@ -294,7 +304,9 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
     b = None
     if cfg.perturbation == PERTURB_OBJECTIVE:
         b = objective_perturb_setup(budget, train_set.d, noise_rng)
+    tic = time.perf_counter()
     model = train(train_set, cfg.lam, loss, b=b, tol=cfg.train_tol)
+    result.setup_s["train"] = time.perf_counter() - tic
     result.initial_metrics = evaluate(model, test_set, cfg.cost_fp, cfg.cost_fn)
     result.trajectory.append(np.array(model.w))
 
@@ -305,12 +317,15 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, result: RepetitionResult) -
     knn_cache = (KnnRankCache() if vm is not None and vm.kind == KNN_SHAPLEY
                  and vm.mode == DYNAMIC else None)
     profile: ValueProfile | None = None
+    tic = time.perf_counter()
     if cfg.values_path is not None:
         profile = load_values_csv(cfg.values_path, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
     elif vm is not None:
         q = compute_values(vm, train_set, utility_set, cfg.lam, loss, tol=cfg.train_tol,
                            cache=knn_cache)
         profile = ValueProfile.from_initial_values(q, alpha=cfg.alpha, zero_tol=cfg.zero_tol)
+    if profile is not None:
+        result.setup_s["valuation"] = time.perf_counter() - tic
 
     unlearner = _make_unlearner(cfg, model, budget, noise_rng)
     remaining = train_set
@@ -447,17 +462,21 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, str]:
 
     write_aggregate_csv(aggregate_rounds(report.records), paths["aggregate.csv"])
 
-    phase_samples: dict[str, list[float]] = {}
+    samples: dict[str, list[float]] = {}
     for rec in report.records:
         for phase, sec in rec.phases.items():
-            phase_samples.setdefault(phase, []).append(sec)
+            samples.setdefault(phase, []).append(sec)
+    samples = dict(sorted(samples.items()))
+    # set-up rows follow the round phases; their count is of repetitions
+    for rep in report.repetitions:
+        for part, sec in rep.setup_s.items():
+            samples.setdefault(f"setup.{part}", []).append(sec)
     with open(paths["timings.csv"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "phase", "median_s", "rounds"])
-        for phase in sorted(phase_samples):
+        for phase, secs in samples.items():
             writer.writerow([report.config.method, phase,
-                             repr(statistics.median(phase_samples[phase])),
-                             len(phase_samples[phase])])
+                             repr(statistics.median(secs)), len(secs)])
 
     manifest = {
         "package_version": __version__,
@@ -513,6 +532,48 @@ _INT_FIELDS = {"rounds", "repetitions", "base_seed", "check_every", "k", "ga_ste
 _STR_FIELDS = {"method", "perturbation", "loss", "ga_valuation", "ga_valuation_mode",
                "deletion_strategy", "data_manifest", "values_path"}
 _SYNTH_INT_FIELDS = {"n", "d_informative", "d_redundant", "seed"}
+_FLOAT_MAX = int(np.finfo(np.float64).max)   # a larger JSON int has no float
+_KIND_NAMES = {"bool": "true or false", "int": "an integer", "str": "a string",
+               "float": "a number", "schedule": "an integer or a list of integers"}
+
+
+def _field_kind(key: str) -> str:
+    """How a config key's value is parsed: bool, int, str, float or schedule;
+    synth parameters are keyed 'synth.<name>'."""
+    if key.startswith("synth."):
+        return "int" if key[len("synth."):] in _SYNTH_INT_FIELDS else "float"
+    if key == "deletions_per_round":
+        return "schedule"
+    if key in _BOOL_FIELDS:
+        return "bool"
+    if key in _INT_FIELDS:
+        return "int"
+    return "str" if key in _STR_FIELDS else "float"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_value(key: str, value, optional: bool):
+    """A JSON config value checked against its key's kind.  A JSON int is
+    taken for a float (and converted), a bool for no number; None only for
+    optional keys."""
+    if value is None and optional:
+        return None
+    kind = _field_kind(key)
+    if kind == "schedule":
+        ok = _is_int(value) or (isinstance(value, list) and all(map(_is_int, value)))
+    elif kind == "float":
+        ok = isinstance(value, float) or (_is_int(value) and abs(value) <= _FLOAT_MAX)
+        value = float(value) if ok else value
+    elif kind == "int":
+        ok = _is_int(value)
+    else:
+        ok = isinstance(value, bool if kind == "bool" else str)
+    if not ok:
+        raise InvalidArgumentError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -550,24 +611,24 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
         name = key[len("synth."):] if in_synth else key
         if name not in (SynthConfig if in_synth else ExperimentConfig).__dataclass_fields__:
             raise InvalidArgumentError(f"{source}: line {lineno}: unknown key {key!r}")
-        if key in _BOOL_FIELDS and value.lower() not in ("true", "false"):
+        kind = _field_kind(key)
+        if kind == "bool" and value.lower() not in ("true", "false"):
             raise InvalidArgumentError(f"{source}: line {lineno}: {key} must be true or false")
         try:
-            if in_synth:
-                synth[name] = int(value) if name in _SYNTH_INT_FIELDS else float(value)
-            elif key == "deletions_per_round":
+            if kind == "schedule":
                 parts = [int(v) for v in value.split(",") if v.strip()]
-                raw[key] = parts[0] if len(parts) == 1 else parts
-            elif key in _BOOL_FIELDS:
-                raw[key] = value.lower() == "true"
-            elif key in _INT_FIELDS:
-                raw[key] = int(value)
-            elif key in _STR_FIELDS:
-                raw[key] = value
+                parsed = parts[0] if len(parts) == 1 else parts
+            elif kind == "bool":
+                parsed = value.lower() == "true"
+            elif kind == "int":
+                parsed = int(value)
+            elif kind == "str":
+                parsed = value
             else:
-                raw[key] = float(value)
+                parsed = float(value)
         except ValueError as exc:
             raise InvalidArgumentError(f"{source}: line {lineno}: {key}: {exc}") from None
+        (synth if in_synth else raw)[name] = parsed
     try:
         if synth:
             raw["synth"] = SynthConfig(**synth)

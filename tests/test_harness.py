@@ -394,6 +394,24 @@ class TestEmitAndReplay:
         drop = {"mean_elapsed_ms", "std_elapsed_ms"}
         assert (_strip_columns(dir1 / "aggregate.csv", drop)
                 == _strip_columns(dir2 / "aggregate.csv", drop))
+        assert (dir1 / "manifest.json").read_bytes() == (dir2 / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("method,parts", [
+        ("dvwu-k", ["prepare", "train", "valuation"]), ("newton", ["prepare", "train"])])
+    def test_setup_timings(self, tmp_path, method, parts):
+        report = run_continuous_deletion(tiny_config(method=method))
+        emit_report(report, tmp_path)
+        with open(tmp_path / "timings.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        setup = [r for r in rows if r["phase"].startswith("setup.")]
+        assert [r["phase"] for r in setup] == [f"setup.{p}" for p in parts]
+        assert rows[-len(setup):] == setup            # after the round phases
+        for row in setup:
+            part = row["phase"][len("setup."):]
+            assert int(row["rounds"]) == 2
+            assert float(row["median_s"]) == statistics.median(
+                rep.setup_s[part] for rep in report.repetitions)
+            assert float(row["median_s"]) > 0.0
 
     def test_rounds_csv_round_trip(self, tmp_path):
         report = run_continuous_deletion(tiny_config(repetitions=1))
@@ -613,6 +631,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert str(cfg) in err and "warp" in err
+
+    @pytest.mark.parametrize("key,value", [("lam", "abc"), ("epsilon", True),
+                                           ("delta", 10 ** 400),
+                                           ("fresh_data_per_rep", 1),
+                                           ("synth.n", 200.0)])
+    def test_manifest_wrong_value_type_exit_2(self, tmp_path, capsys, key, value):
+        config = {"method": "newton", "synth": {"n": 200, "d_informative": 3}}
+        if key.startswith("synth."):
+            config["synth"][key[len("synth."):]] = value
+        else:
+            config[key] = value
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps({"config": config}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cfg}: {key} must be" in err
+
+    def test_manifest_int_accepted_for_float(self):
+        cfg = ExperimentConfig.from_dict({
+            "method": "newton", "lam": 1, "deletions_per_round": [3, 4], "rounds": 2,
+            "data_manifest": None, "synth": {"n": 200, "d_informative": 3,
+                                             "noise_ratio": 0}})
+        assert cfg.lam == 1.0 and isinstance(cfg.lam, float)
+        assert isinstance(cfg.synth.noise_ratio, float)
+        assert cfg.schedule() == [3, 4]
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as err:

@@ -333,6 +333,82 @@ class TestKnnTies:
         assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
+def _stable_orders(d2):
+    return np.argsort(d2, axis=1, kind="stable")
+
+
+def _order_instance(case):
+    if case.startswith("pool"):
+        n = int(case[len("pool"):])
+        return _tied_instance(np.random.default_rng(n), n)
+    rng = np.random.default_rng(17)
+    if case == "gaussian":
+        return _rand_instance(rng, 900, d=5, n_ref=40)
+    if case == "quantized":
+        data, ref = _rand_instance(rng, 900, d=3, n_ref=40)
+        return (Dataset(np.round(data.features, 1), data.labels, data.ids),
+                Dataset(np.round(ref.features, 1), ref.labels))
+    if case == "zero-distance":    # references on training rows that have copies
+        data, ref = _rand_instance(rng, 600, d=2, n_ref=40)
+        data = Dataset(np.round(data.features, 1), data.labels, data.ids)
+        return data, Dataset(data.features[:40], ref.labels)
+    # finite rows whose squared norms overflow: d2 holds inf and inf - inf
+    data, ref = _rand_instance(rng, 600, d=3, n_ref=40)
+    X, R = data.features.copy(), ref.features.copy()
+    X[::5] *= 1e155
+    R[::4] *= 1e155
+    return Dataset(X, data.labels, data.ids), Dataset(R, ref.labels)
+
+
+class TestDistanceOrder:
+    """The default-kind argsort with its tie repair gives bitwise the orders
+    and values of a stable argsort."""
+
+    CASES = ["gaussian", "pool1401", "pool1403", "pool2100", "quantized",
+             "zero-distance", "overflow"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_orders_and_values_equal_stable_sort(self, case, monkeypatch):
+        data, ref = _order_instance(case)
+        blocks = []
+        real = valuation._position_argsort
+
+        def checked(d2):
+            got = real(d2)
+            assert np.array_equal(got, _stable_orders(d2))
+            blocks.append(d2)
+            return got
+
+        with np.errstate(over="ignore", invalid="ignore"):   # the overflow case
+            monkeypatch.setattr(valuation, "_position_argsort", checked)
+            got = knn_sv(data, ref, 5, block=16)
+            monkeypatch.setattr(valuation, "_position_argsort", _stable_orders)
+            expect = knn_sv(data, ref, 5, block=16)
+        assert list(got) == list(expect)
+        assert np.array_equal(_bits(got, data.ids), _bits(expect, data.ids))
+        d2 = np.concatenate(blocks)
+        if case == "overflow":
+            assert np.isinf(d2).any() and np.isnan(d2).any()
+        if case == "zero-distance":
+            assert (d2 == 0.0).sum() > ref.n
+        if case != "gaussian":
+            sorted_d2 = np.take_along_axis(d2, _stable_orders(d2), axis=1)
+            assert (sorted_d2[:, 1:] == sorted_d2[:, :-1]).any()
+
+    def test_signed_zeros_tie(self):
+        # knn_sv's d2 never holds -0.0 (u_sq + r_sq adds a +0.0 last), so the
+        # block is built by hand; -0.0 == 0.0 and the stable sort keeps them
+        # in position order
+        rng = np.random.default_rng(3)
+        d2 = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0, np.nan]), size=(40, 700))
+        assert np.array_equal(valuation._position_argsort(d2), _stable_orders(d2))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (17, 2), (5, 0)])
+    def test_degenerate_rows(self, shape):
+        d2 = np.zeros(shape)
+        assert np.array_equal(valuation._position_argsort(d2), _stable_orders(d2))
+
+
 class TestKnnRankCache:
     ROUNDS = 24
 
